@@ -43,8 +43,6 @@
 
 namespace nurapid {
 
-class GangReplayer;
-
 /**
  * Stream-lookahead prefetch distance for the distilled replay loops:
  * how many events ahead of the current one to hint at the organization
@@ -168,7 +166,7 @@ class OooCore
      * samples the organization's cumulative EnergyBreakdown at a
      * reference boundary — never mid-access — so the per-epoch energy
      * timeline telescopes exactly to the end-of-run accumulators on
-     * every replay path (live, distilled, gang).
+     * every replay path (live and distilled).
      */
     void
     attachObservability(EventSink *sink, IntervalRecorder *recorder)
@@ -178,11 +176,6 @@ class OooCore
     }
 
   private:
-    /** The gang replayer (sim/gang.hh) drives many cores through one
-     *  shared distilled-stream traversal; it checks the lanes' private
-     *  dispatch state when deciding a group's eligibility. */
-    friend class GangReplayer;
-
     struct Pending
     {
         std::uint64_t inst = 0;  //!< instruction index at issue

@@ -81,13 +81,6 @@ class ConventionalL2L3 final : public LowerMemory
         l3Cache.prefetchHotLines(addr);
     }
 
-    /** L2 + L3 plane footprint for gang cohort budgeting. */
-    std::size_t
-    hotStateBytes() const override
-    {
-        return l2Cache.hotBytes() + l3Cache.hotBytes();
-    }
-
   private:
     std::string orgName = "conventional-l2l3";
     Params p;

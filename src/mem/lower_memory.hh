@@ -156,14 +156,6 @@ class LowerMemory
      */
     void prefetchHotLines(Addr) const {}
 
-    /**
-     * Bytes of host memory the organization's per-reference hot state
-     * occupies (tag/rank/pointer planes, bitmaps). The gang replayer
-     * tiles lanes into cohorts whose combined footprint fits the host
-     * LLC budget. Default 0 = "free" (toy caches, the oracle).
-     */
-    virtual std::size_t hotStateBytes() const { return 0; }
-
   protected:
     /** Flight-recorder sink; null (the common case) when detached. */
     EventSink *obsSink = nullptr;

@@ -95,7 +95,6 @@ class NarrowPlane
     }
 
     std::uint32_t widthBytes() const { return width_; }
-    std::size_t bytes() const { return data_.size(); }
     const std::uint8_t *raw() const { return data_.data(); }
 
   private:

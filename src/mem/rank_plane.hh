@@ -88,7 +88,6 @@ class RankPlane
     }
 
     std::uint32_t ways() const { return ways_; }
-    std::size_t bytes() const { return words_.size() * sizeof(std::uint64_t); }
 
     /** Address of @p set's first rank word (a prefetch target). */
     const void *

@@ -174,16 +174,6 @@ class SetAssocCache
             __builtin_prefetch(lruRanks.setWords(set), 1, 3);
     }
 
-    /** Bytes of per-reference hot state (planes + bitmaps), the
-     *  currency of the gang scheduler's footprint budget. */
-    std::size_t
-    hotBytes() const
-    {
-        return (tagPlane.size() + validBits.size() + dirtyBits.size()) *
-                   sizeof(std::uint64_t) +
-               lruRanks.bytes() + plruTree.size();
-    }
-
   private:
     Addr tagOf(Addr addr) const { return addr >> tagShift; }
 
@@ -291,7 +281,7 @@ class SetAssocCache
     Rng replRng;
 
     StatGroup statGroup;
-    /** Counters grouped into one cache line so a gang lane's stat
+    /** Counters grouped into one cache line so an access's stat
      *  updates dirty a single line instead of four scattered ones. */
     struct alignas(64) Counters
     {

@@ -404,14 +404,6 @@ DNucaCache::audit(AuditSink &sink) const
     return clean;
 }
 
-std::size_t
-DNucaCache::hotStateBytes() const
-{
-    return (tagPlane.size() + validBits.size() + dirtyBits.size()) *
-               sizeof(std::uint64_t) +
-           ranks.bytes() + bankFree.size() * sizeof(Cycle);
-}
-
 void
 DNucaCache::resetStats()
 {

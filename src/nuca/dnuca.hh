@@ -82,7 +82,6 @@ class DNucaCache final : public LowerMemory
     /** Valid-block count per latency region. */
     void regionOccupancy(std::vector<std::uint64_t> &out) const override;
     bool audit(AuditSink &sink) const override;
-    std::size_t hotStateBytes() const override;
 
     /** Hints the upcoming access's hot plane lines into cache: tag
      *  row, valid bitmap word, rank word. Pure prefetch (hides the
@@ -145,8 +144,8 @@ class DNucaCache final : public LowerMemory
     std::uint64_t auditTick = 0;  //!< periodic-audit access counter
 
     StatGroup statGroup;
-    /** Counters packed into one cache-line-aligned block so gang lanes
-     *  stop dirtying 12 scattered counter lines. */
+    /** Counters packed into one cache-line-aligned block so an access
+     *  dirties one line instead of 12 scattered counter lines. */
     struct alignas(64) Counters
     {
         Counter demandAccesses;

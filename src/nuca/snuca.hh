@@ -75,16 +75,6 @@ class SNucaCache final : public LowerMemory
             .prefetchHotLines(addr);
     }
 
-    /** Sum of the banks' plane footprints for gang cohort budgeting. */
-    std::size_t
-    hotStateBytes() const override
-    {
-        std::size_t n = bankFree.size() * sizeof(Cycle);
-        for (const SetAssocCache &b : banks)
-            n += b.hotBytes();
-        return n;
-    }
-
   private:
     Params p;
     DNucaTiming times;  //!< same grid timing as D-NUCA
@@ -95,8 +85,8 @@ class SNucaCache final : public LowerMemory
     EnergyBreakdown cacheEnergy{p.rows};
 
     StatGroup statGroup;
-    /** Counters packed into one cache-line-aligned block so gang lanes
-     *  stop dirtying 5 scattered counter lines. */
+    /** Counters packed into one cache-line-aligned block so an access
+     *  dirties one line instead of 5 scattered counter lines. */
     struct alignas(64) Counters
     {
         Counter demandAccesses;

@@ -351,14 +351,6 @@ CoupledNucaCache::audit(AuditSink &sink) const
     return clean;
 }
 
-std::size_t
-CoupledNucaCache::hotStateBytes() const
-{
-    return (tagPlane.size() + validBits.size() + dirtyBits.size()) *
-               sizeof(std::uint64_t) +
-           ranks.bytes();
-}
-
 void
 CoupledNucaCache::resetStats()
 {

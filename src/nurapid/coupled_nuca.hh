@@ -59,7 +59,6 @@ class CoupledNucaCache final : public LowerMemory
     /** Valid-block count per latency region. */
     void regionOccupancy(std::vector<std::uint64_t> &out) const override;
     bool audit(AuditSink &sink) const override;
-    std::size_t hotStateBytes() const override;
 
     /** Hints the upcoming access's hot plane lines into cache: tag
      *  row, valid bitmap word, rank word. Pure prefetch (hides the
@@ -115,8 +114,8 @@ class CoupledNucaCache final : public LowerMemory
     std::uint64_t auditTick = 0;  //!< periodic-audit access counter
 
     StatGroup statGroup;
-    /** Counters packed into one cache-line-aligned block so gang lanes
-     *  stop dirtying 9 scattered counter lines. */
+    /** Counters packed into one cache-line-aligned block so an access
+     *  dirties one line instead of 9 scattered counter lines. */
     struct alignas(64) Counters
     {
         Counter demandAccesses;

@@ -171,17 +171,6 @@ class DataArray
         return frameRegion.get(f);
     }
 
-    /** Bytes of per-reference hot state (pointer planes + bitmaps). */
-    std::size_t
-    hotBytes() const
-    {
-        return revSet.bytes() + revWay.size() +
-               (validWords.size() + linkedWords.size()) *
-                   sizeof(std::uint64_t) +
-               prevPlane.bytes() + nextPlane.bytes() +
-               frameRegion.bytes();
-    }
-
     /** Valid-frame count (for invariant checks in tests). */
     std::uint64_t validCount() const;
 

@@ -107,13 +107,6 @@ class NuRapidCache final : public LowerMemory
         tagArray.prefetchHotLines(addr);
     }
 
-    /** Tag + data plane footprint for gang cohort budgeting. */
-    std::size_t
-    hotStateBytes() const override
-    {
-        return tagArray.hotBytes() + dataArray.hotBytes();
-    }
-
     /** Mutable views for fault-injection tests: corrupt a pointer, then
      *  assert audit() pinpoints it. Never used by the simulator. */
     TagArray &tagsForTesting() { return tagArray; }
@@ -150,7 +143,8 @@ class NuRapidCache final : public LowerMemory
 
     StatGroup statGroup;
     /** Counters packed into two cache lines (hot-path updates stay in
-     *  the first) so gang lanes stop dirtying 13 scattered lines. */
+     *  the first) so one access dirties one line, not 13 scattered
+     *  ones. */
     struct alignas(64) Counters
     {
         Counter demandAccesses;

@@ -220,15 +220,6 @@ class TagArray
         __builtin_prefetch(ranks.setWords(set), 1, 3);
     }
 
-    /** Bytes of per-reference hot state (planes + bitmaps). */
-    std::size_t
-    hotBytes() const
-    {
-        return (tagPlane.size() + validBits.size() + dirtyBits.size()) *
-                   sizeof(std::uint64_t) +
-               groupPlane.size() + framePlane.bytes() + ranks.bytes();
-    }
-
   private:
     /** First word of @p set's row in the way-indexed planes. */
     std::size_t

@@ -151,7 +151,7 @@ energyFromJson(const Json &j, EnergyReport &e)
 
 RunKey
 fingerprintRun(const OrgSpec &spec, const WorkloadProfile &profile,
-               const SimLength &length, const GangMode &gang)
+               const SimLength &length)
 {
     Fingerprint fp;
     fp.field("schema", kRunCacheSchema);
@@ -159,19 +159,7 @@ fingerprintRun(const OrgSpec &spec, const WorkloadProfile &profile,
     fingerprintProfile(fp, profile);
     fp.field("warmup", length.warmup_records);
     fp.field("measure", length.measure_records);
-    fp.field("gang", gang.enabled);
-    fp.field("gang_width", gang.width_cap);
     return {fp.key(), fp.digest()};
-}
-
-std::string
-gangGroupKey(const WorkloadProfile &profile, const SimLength &length)
-{
-    Fingerprint fp;
-    fingerprintProfile(fp, profile);
-    fp.field("warmup", length.warmup_records);
-    fp.field("measure", length.measure_records);
-    return fp.key();
 }
 
 Json

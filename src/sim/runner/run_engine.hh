@@ -26,16 +26,11 @@
  *  - NURAPID_JOBS     worker count; 0/unset = hardware_concurrency().
  *  - NURAPID_RUN_CACHE  path of a JSON cache file shared across
  *    binaries; loaded on engine construction, saved after every batch.
- *  - NURAPID_GANG=0   disable gang replay (one traversal per run, as
- *    before); NURAPID_GANG_WIDTH caps lanes per gang. Both are part of
- *    the run fingerprint, so gang/no-gang caches never mix.
  *
- * Gang scheduling: cache misses inside one batch that share a workload
- * profile and phase lengths (gangGroupKey) become one work unit; the
- * unit builds every lane's System and hands the group to
- * GangReplayer::runAll, which walks the shared distilled stream once
- * for all of them. Results stay bit-identical to the per-run path
- * (modulo wall_seconds) and are cached per-config exactly as before.
+ * Each cache miss is one work unit: the worker builds the request's
+ * System and calls System::runAll(), so an engine result is
+ * bit-identical to a standalone run of the same request (modulo
+ * wall_seconds).
  */
 
 #ifndef NURAPID_SIM_RUNNER_RUN_ENGINE_HH
@@ -76,11 +71,7 @@ struct RunEngineOptions
     /** JSON cache file shared across binaries; empty = in-process only. */
     std::string cache_file;
 
-    /** Gang-replay scheduling; part of every run's cache fingerprint. */
-    GangMode gang{};
-
-    /** Reads NURAPID_JOBS, NURAPID_RUN_CACHE, NURAPID_GANG and
-     *  NURAPID_GANG_WIDTH. */
+    /** Reads NURAPID_JOBS and NURAPID_RUN_CACHE. */
     static RunEngineOptions fromEnv();
 };
 
@@ -108,9 +99,9 @@ class RunEngine
     /**
      * Runs the cross product specs x suite in one batch and returns
      * result[i][j] for (specs[i], suite[j]). Submitting all
-     * organizations together is what lets the engine gang the runs of
-     * one workload into a single stream traversal — per-organization
-     * runSuite calls never see the siblings.
+     * organizations together lets every miss share one worker pool,
+     * instead of each per-organization runSuite call draining its own
+     * short batch.
      */
     std::vector<std::vector<RunMetrics>>
     runSuites(const std::vector<OrgSpec> &specs,
@@ -142,12 +133,6 @@ class RunEngine
     std::atomic<std::uint64_t> hits{0};
     std::atomic<double> saved{0.0};
     std::atomic<double> simSecs{0.0};
-
-    /** Packs cache-missed request indices into gang work units (see
-     *  file comment); singleton units when gang replay is off. */
-    std::vector<std::vector<std::size_t>>
-    gangUnits(const std::vector<RunRequest> &requests,
-              const std::vector<std::size_t> &misses) const;
 
     static void atomicAdd(std::atomic<double> &target, double delta);
 };

@@ -177,7 +177,7 @@ System::enableObservability(const ObsConfig &cfg)
 }
 
 void
-System::attachObserversForMeasure()
+System::measure()
 {
     if (obsSink && !obsAttached) {
         lowerMem->attachObserver(obsSink.get());
@@ -186,12 +186,6 @@ System::attachObserversForMeasure()
             obsRec->begin();
         obsAttached = true;
     }
-}
-
-void
-System::measure()
-{
-    attachObserversForMeasure();
     runRecords(length.measure_records);
 }
 

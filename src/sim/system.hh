@@ -95,19 +95,10 @@ class System
     SetAssocCache &l1d() { return l1dCache; }
 
   private:
-    /** The gang replayer (sim/gang.hh) runs groups of Systems that
-     *  share one distilled stream through a single traversal; it
-     *  drives the same warmup/measure phase sequence runAll() does. */
-    friend class GangReplayer;
-
     /** Feeds the next @p records workload records through the core via
      *  the devirtualized per-organization loop (or the live-generation
      *  fallback when NURAPID_TRACE_PREGEN=0). */
     void runRecords(std::uint64_t records);
-
-    /** The attach half of measure(): arms the sink/recorder once, at
-     *  measurement start (also called by the gang replayer). */
-    void attachObserversForMeasure();
 
     OrgSpec spec;
     WorkloadProfile prof;
@@ -165,8 +156,8 @@ std::vector<RunMetrics> runSuite(const OrgSpec &org,
 
 /**
  * Runs several organizations over one workload suite as a single
- * engine batch, so the gang scheduler can fold same-workload runs
- * across organizations into one stream traversal (sim/gang.hh).
+ * engine batch, so every uncached (organization, workload) run fans
+ * out over the worker pool together instead of suite by suite.
  * Result [i][j] is organization i on suite workload j.
  */
 std::vector<std::vector<RunMetrics>>

@@ -3,33 +3,25 @@
  * Packed rank-plane correctness and whole-system identity for the
  * hot-state shrink.
  *
- * Three layers of evidence:
+ * Two layers of evidence:
  *  - RankPlane (SWAR, 4- or 8-bit fields) against RankPlaneRef (scalar
  *    bytes) and against a 64-bit stamp model — the recency encoding
  *    the plane replaced — under identical random churn, for way counts
  *    on both sides of the packed4 boundary and at the 64-way cap.
  *  - Stream-lookahead prefetch on/off must leave RunMetrics
  *    bit-identical (the hints never touch simulated state).
- *  - Footprint-cohort gang scheduling must match naive single-cohort
- *    gangs and solo runs, in metrics and per-event observability
- *    streams, even with a 1-byte LLC budget forcing one lane per
- *    cohort.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdlib>
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "common/rng.hh"
 #include "mem/rank_plane.hh"
-#include "sim/gang.hh"
 #include "sim/runner/run_cache.hh"
 #include "sim/system.hh"
-#include "trace/distilled_trace.hh"
 #include "trace/profiles.hh"
 
 namespace nurapid {
@@ -222,111 +214,6 @@ TEST(StreamPrefetch, OnAndOffProduceIdenticalMetrics)
         EXPECT_TRUE(identicalMetrics(off[i], far[i]))
             << orgs[i].description() << ": prefetch distance 64 changed "
             << "the result";
-    }
-}
-
-std::vector<std::unique_ptr<System>>
-buildGroup(const std::vector<OrgSpec> &orgs,
-           const WorkloadProfile &profile, const SimLength &length,
-           const ObsConfig *obs = nullptr)
-{
-    std::vector<std::unique_ptr<System>> group;
-    for (const auto &spec : orgs) {
-        auto sys = std::make_unique<System>(spec, profile, length);
-        if (obs)
-            sys->enableObservability(*obs);
-        group.push_back(std::move(sys));
-    }
-    return group;
-}
-
-std::vector<System *>
-raw(const std::vector<std::unique_ptr<System>> &group)
-{
-    std::vector<System *> out;
-    for (const auto &sys : group)
-        out.push_back(sys.get());
-    return out;
-}
-
-TEST(GangCohorts, FootprintTilingMatchesNaiveAndSoloBitForBit)
-{
-    if (!distillEnabled())
-        GTEST_SKIP() << "gang replay needs the distilled fast path "
-                        "(NURAPID_DISTILL=0)";
-    const auto &profile = findProfile("art");
-    const SimLength length{20'000, 60'000};
-    const auto orgs = allOrgs();
-    const auto solo = runSolo(orgs, profile, length);
-
-    // A 1-byte budget forces one lane per cohort (the degenerate
-    // maximum re-traversal); naive is the single all-lanes cohort.
-    setenv("NURAPID_GANG_SCHED", "footprint", 1);
-    setenv("NURAPID_GANG_LLC_BYTES", "1", 1);
-    auto tiled_group = buildGroup(orgs, profile, length);
-    ASSERT_TRUE(GangReplayer::eligible(raw(tiled_group)));
-    const auto tiled = GangReplayer::runAll(raw(tiled_group));
-    unsetenv("NURAPID_GANG_LLC_BYTES");
-
-    setenv("NURAPID_GANG_SCHED", "naive", 1);
-    auto naive_group = buildGroup(orgs, profile, length);
-    const auto naive = GangReplayer::runAll(raw(naive_group));
-    unsetenv("NURAPID_GANG_SCHED");
-
-    ASSERT_EQ(tiled.size(), solo.size());
-    ASSERT_EQ(naive.size(), solo.size());
-    for (std::size_t i = 0; i < orgs.size(); ++i) {
-        EXPECT_TRUE(identicalMetrics(solo[i], tiled[i]))
-            << orgs[i].description()
-            << ": per-lane cohorts diverged from solo";
-        EXPECT_TRUE(identicalMetrics(solo[i], naive[i]))
-            << orgs[i].description()
-            << ": naive gang diverged from solo";
-    }
-}
-
-TEST(GangCohorts, ObservabilityStreamsSurviveTiling)
-{
-    if (!distillEnabled())
-        GTEST_SKIP() << "gang replay needs the distilled fast path "
-                        "(NURAPID_DISTILL=0)";
-    const auto &profile = findProfile("swim");
-    const SimLength length{0, 40'000};
-    const auto orgs = allOrgs();
-    ObsConfig obs;
-    obs.record_events = true;
-
-    auto solo = buildGroup(orgs, profile, length, &obs);
-    for (auto &sys : solo)
-        sys->runAll();
-
-    setenv("NURAPID_GANG_SCHED", "footprint", 1);
-    setenv("NURAPID_GANG_LLC_BYTES", "1", 1);
-    auto tiled = buildGroup(orgs, profile, length, &obs);
-    ASSERT_TRUE(GangReplayer::eligible(raw(tiled)));
-    GangReplayer::runAll(raw(tiled));
-    unsetenv("NURAPID_GANG_LLC_BYTES");
-    unsetenv("NURAPID_GANG_SCHED");
-
-    for (std::size_t i = 0; i < orgs.size(); ++i) {
-        const EventSink *a = solo[i]->observabilitySink();
-        const EventSink *b = tiled[i]->observabilitySink();
-        ASSERT_NE(a, nullptr);
-        ASSERT_NE(b, nullptr);
-        const auto ea = a->events();
-        const auto eb = b->events();
-        ASSERT_EQ(ea.size(), eb.size())
-            << orgs[i].description() << ": event counts differ";
-        for (std::size_t j = 0; j < ea.size(); ++j) {
-            const ObsEvent &x = ea[j];
-            const ObsEvent &y = eb[j];
-            ASSERT_TRUE(x.cycle == y.cycle && x.addr == y.addr &&
-                        x.latency == y.latency && x.kind == y.kind &&
-                        x.from == y.from && x.to == y.to &&
-                        x.flags == y.flags)
-                << orgs[i].description() << ": event " << j
-                << " diverged under cohort tiling";
-        }
     }
 }
 

@@ -1,19 +1,20 @@
 /**
  * @file
  * Run-engine tests: parallel determinism (jobs=4 bit-identical to
- * jobs=1 across organizations), memoization (warm cache returns
+ * jobs=1 and to a standalone System::runAll() across organizations),
+ * memoization (warm cache returns
  * identical metrics without re-simulating), fingerprint stability, and
- * cache-file persistence round trips.
+ * cache-file persistence round trips, including a stale-schema file.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "common/json.hh"
-#include "sim/gang.hh"
 #include "sim/runner/run_engine.hh"
 #include "sim/system.hh"
 #include "trace/profiles.hh"
@@ -72,6 +73,15 @@ TEST(RunEngine, ParallelBitIdenticalToSerial)
             << reqs[i].profile.name << ": parallel run diverged "
             << "(serial ipc " << a[i].ipc << ", parallel ipc "
             << b[i].ipc << ")";
+        // The engine adds scheduling and memoization, never results:
+        // each work unit must equal the same request run standalone.
+        System solo(reqs[i].spec, reqs[i].profile, reqs[i].length);
+        const RunMetrics standalone = solo.runAll();
+        EXPECT_TRUE(identicalMetrics(standalone, a[i]))
+            << reqs[i].spec.description() << " / "
+            << reqs[i].profile.name << ": engine run diverged from a "
+            << "standalone System (standalone ipc " << standalone.ipc
+            << ", engine ipc " << a[i].ipc << ")";
         EXPECT_FALSE(b[i].from_cache);
         EXPECT_GT(b[i].instructions, 0u);
     }
@@ -226,42 +236,6 @@ TEST(RunCache, DigestCollisionDegradesToMiss)
         << "colliding digest returned the wrong run's metrics";
 }
 
-TEST(RunCache, GangModeSeparatesCacheKeys)
-{
-    // Results produced by the gang replayer and the per-org path are
-    // bit-identical by contract, but the cache must never be the thing
-    // asserting that: a cache populated under one mode has to miss for
-    // the other, so a --gang off verification run really re-simulates.
-    const auto &prof = findProfile("applu");
-    GangMode on;
-    GangMode off;
-    off.enabled = false;
-
-    const auto k_on = fingerprintRun(OrgSpec::baseline(), prof,
-                                     tinyLength(), on);
-    const auto k_off = fingerprintRun(OrgSpec::baseline(), prof,
-                                      tinyLength(), off);
-    EXPECT_NE(k_on.key, k_off.key);
-    EXPECT_NE(k_on.digest, k_off.digest);
-
-    // The gang width changes scheduling, so it separates keys too.
-    GangMode capped;
-    capped.width_cap = 2;
-    EXPECT_NE(fingerprintRun(OrgSpec::baseline(), prof, tinyLength(),
-                             capped).key, k_on.key);
-
-    RunMetrics m;
-    m.workload = "applu";
-    m.ipc = 1.0;
-    RunCache cache;
-    cache.store(k_on, m);
-
-    RunMetrics out;
-    EXPECT_TRUE(cache.lookup(k_on, out));
-    EXPECT_FALSE(cache.lookup(k_off, out))
-        << "gang-mode cache entry served to a gang-off lookup";
-}
-
 TEST(RunCache, TamperedPersistedKeyDegradesToMiss)
 {
     // A cache file whose stored key was corrupted (bit rot, manual
@@ -315,6 +289,55 @@ TEST(RunCache, TamperedPersistedKeyDegradesToMiss)
     RunMetrics out;
     EXPECT_FALSE(reloaded.lookup(key, out))
         << "tampered entry served as a hit";
+    std::remove(path.c_str());
+}
+
+TEST(RunCache, StaleSchemaFileIsDroppedOnLoadAndSave)
+{
+    // A file written under an older schema holds results whose keys
+    // can never match again: it must load nothing, and the next save
+    // must not merge its dead entries back in.
+    const std::string path = "test_runner_stale_schema.json";
+    {
+        RunMetrics old;
+        old.workload = "applu";
+        old.ipc = 0.75;
+        Json entry = Json::object();
+        entry.set("key", Json(std::string("schema=1;org=old;")));
+        entry.set("metrics", runMetricsToJson(old));
+        Json entries = Json::object();
+        entries.set("0123456789abcdef", std::move(entry));
+        Json root = Json::object();
+        root.set("schema", Json(std::uint64_t{1}));
+        root.set("entries", std::move(entries));
+        std::FILE *f = std::fopen(path.c_str(), "w");
+        ASSERT_NE(f, nullptr);
+        std::fputs(root.dump().c_str(), f);
+        std::fclose(f);
+    }
+    ASSERT_NE(kRunCacheSchema, 1u);
+
+    RunCache cache;
+    EXPECT_EQ(cache.loadFile(path), 0u);
+    EXPECT_EQ(cache.size(), 0u);
+
+    const auto key = fingerprintRun(OrgSpec::baseline(),
+                                    findProfile("applu"), tinyLength());
+    RunMetrics m;
+    m.workload = "applu";
+    m.ipc = 1.5;
+    cache.store(key, m);
+    ASSERT_TRUE(cache.saveFile(path));
+
+    RunCache reloaded;
+    EXPECT_EQ(reloaded.loadFile(path), 1u);
+    std::vector<std::string> keys;
+    reloaded.forEachEntry([&](const std::string &k, const RunMetrics &) {
+        keys.push_back(k);
+    });
+    ASSERT_EQ(keys.size(), 1u);
+    EXPECT_EQ(keys.front(), key.key)
+        << "stale-schema entry survived the save";
     std::remove(path.c_str());
 }
 

@@ -105,6 +105,15 @@ struct OrgCase
     ReplPolicy repl;
 };
 
+// Without a printer gtest dumps the raw bytes, padding included, so the
+// test names would change from one process to the next.
+void
+PrintTo(const OrgCase &c, std::ostream *os)
+{
+    *os << c.assoc << "way_" << c.capacity << "B_" << c.block << "B_"
+        << replPolicyName(c.repl);
+}
+
 class CachePropertyTest : public ::testing::TestWithParam<OrgCase>
 {
 };
