@@ -34,7 +34,53 @@ OooCore::OooCore(const CoreParams &params, SetAssocCache &l1i_cache,
 void
 OooCore::run(TraceSource &trace, std::uint64_t records)
 {
-    runTyped(lower, trace, records);
+    TraceRecord r;
+    for (std::uint64_t n = 0; n < records; ++n) {
+        if (!trace.next(r))
+            break;
+
+        insts += r.inst_gap + 1;
+        instIndex += r.inst_gap + 1;
+        cycleF += (r.inst_gap + 1) * dispatchCpi;
+
+        if (r.has_branch) {
+            if (!bpred.predictAndUpdate(r.branch_pc, r.branch_taken))
+                cycleF += p.mispredict_penalty;
+        }
+
+        enforceWindow();
+
+        const bool ifetch = r.op == TraceOp::Ifetch;
+        const bool store = r.op == TraceOp::Store;
+
+        // A pointer-chase load cannot issue before the previous deep
+        // load's data returns — this is what exposes L2 *hit* latency
+        // (independent loads hide under the RUU window instead).
+        if (r.depends_on_prev && !store && !ifetch) {
+            if (static_cast<double>(lastMissCompletion) > cycleF) {
+                cycleF = static_cast<double>(lastMissCompletion);
+                ++statDepStalls;
+            }
+        }
+        const auto now = static_cast<Cycle>(cycleF);
+        SetAssocCache &l1 = ifetch ? l1i : l1d;
+        if (ifetch)
+            ++statL1IAccesses;
+        else
+            ++statL1DAccesses;
+
+        const SetAssocCache::Access a = l1.access(r.addr, store);
+        if (a.evicted && a.evicted_dirty) {
+            NURAPID_PROFILE_SCOPE(L2Org);
+            lower.access(a.evicted_addr, AccessType::Writeback, now);
+        }
+        if (!a.hit) {
+            missPath(lower, r.addr, store, ifetch, r.latency_critical,
+                     now);
+        }
+        if (obsRec) [[unlikely]]
+            obsRec->tick();
+    }
 }
 
 std::uint64_t

@@ -11,14 +11,14 @@
  * memory-latency misses stall the core — exactly the sensitivity the
  * paper's L2 experiments need.
  *
- * The per-reference loop is a template over the lower-memory and trace
- * types (runTyped). The System instantiates it per concrete (final)
- * cache organization with a non-virtual packed-trace cursor, so the
- * whole access chain — trace replay, L1 lookup and replacement, the
- * organization's access() — inlines into one loop body with no virtual
- * dispatch. run(TraceSource&) keeps the fully polymorphic path for
- * tools and tests; both instantiate the same body, so they are
- * bit-identical by construction.
+ * Two loops drive the machine. runDistilled is the production path:
+ * the System instantiates it per concrete (final) cache organization
+ * and replays a precomputed L2-event stream, so the organization's
+ * access() inlines into the loop body with no virtual dispatch.
+ * run(TraceSource&) is the reference: it walks every record through
+ * the L1s and the branch predictor, polymorphic trace and lower memory
+ * alike, and is what tests hold the distilled replay bit-identical to.
+ * Both share missPath/missLatency verbatim.
  */
 
 #ifndef NURAPID_CPU_OOO_CORE_HH
@@ -26,7 +26,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 
 #include "common/fixed_ring.hh"
 #include "common/logging.hh"
@@ -44,32 +43,12 @@
 namespace nurapid {
 
 /**
- * Stream-lookahead prefetch distance for the distilled replay loops:
- * how many events ahead of the current one to hint at the organization
- * (LowerMemory::prefetchHotLines). 0 disables. NURAPID_PREFETCH=0
- * turns it off; NURAPID_PREFETCH_DIST overrides the distance (default
- * 8, clamped to [1, 256]). Read per replay call, not cached, so tests
- * can toggle it mid-process. The hints never change simulated state,
- * so on/off is bit-identical by construction.
+ * Stream-lookahead prefetch distance of the distilled replay loop: how
+ * many events ahead of the current one to hint at the organization
+ * (LowerMemory::prefetchHotLines). The hints never change simulated
+ * state, so the distance cannot change a result.
  */
-inline std::uint32_t
-streamPrefetchDistance()
-{
-    const char *const on = std::getenv("NURAPID_PREFETCH");
-    if (on && on[0] == '0' && on[1] == '\0')
-        return 0;
-    std::uint32_t dist = 8;
-    if (const char *const d = std::getenv("NURAPID_PREFETCH_DIST")) {
-        char *end = nullptr;
-        const long v = std::strtol(d, &end, 10);
-        if (end == d || *end != '\0' || v < 1 || v > 256) {
-            warnOnce("ignoring invalid NURAPID_PREFETCH_DIST '%s'", d);
-        } else {
-            dist = static_cast<std::uint32_t>(v);
-        }
-    }
-    return dist;
-}
+constexpr int kStreamPrefetchDistance = 8;
 
 struct CoreParams
 {
@@ -110,19 +89,13 @@ class OooCore
     OooCore(const CoreParams &params, SetAssocCache &l1i,
             SetAssocCache &l1d, LowerMemory &lower);
 
-    /** Runs @p records trace records through the machine (polymorphic
-     *  trace + lower memory; tools/tests). */
-    void run(TraceSource &trace, std::uint64_t records);
-
     /**
-     * Devirtualized equivalent: @p lower_mem must be the same object
-     * the core was constructed against, passed as its concrete final
-     * type; @p trace is any type with bool next(TraceRecord&). The
-     * loop body is shared with run(), so results are bit-identical.
+     * Reference loop: runs @p records trace records through the L1s,
+     * the branch predictor and the lower memory (both polymorphic).
+     * Production replays the distilled stream instead; tests compare
+     * the two (System::runAllReference).
      */
-    template <class LowerT, class TraceT>
-    void runTyped(LowerT &lower_mem, TraceT &trace,
-                  std::uint64_t records);
+    void run(TraceSource &trace, std::uint64_t records);
 
     /**
      * Replays @p records records of a distilled stream (must have been
@@ -132,8 +105,9 @@ class OooCore
      * are skipped entirely, with their counter effects folded in from
      * the event deltas. The replayed segment must end on one of the
      * stream's cuts so folded counters are exact at the stop record.
-     * Bit-identical to runTyped over the same records (asserted by
-     * tests/test_distilled_trace.cc); @p cur advances past the segment.
+     * Bit-identical to run() over the same records (asserted by
+     * tests/test_reference_identity.cc); @p cur advances past the
+     * segment.
      */
     template <class LowerT>
     void runDistilled(LowerT &lower_mem, DistilledTrace::Cursor &cur,
@@ -159,14 +133,14 @@ class OooCore
     /**
      * Attaches the flight-recorder sink (for MSHR-stall events) and
      * the interval recorder (ticked once per retired reference in
-     * runTyped and runDistilled alike; epoch boundaries land on the
-     * same record index in both paths). Either may be null.
+     * run() and runDistilled alike; epoch boundaries land on the
+     * same record index in both loops). Either may be null.
      *
      * Because the tick is per retired reference, each epoch snapshot
      * samples the organization's cumulative EnergyBreakdown at a
      * reference boundary — never mid-access — so the per-epoch energy
-     * timeline telescopes exactly to the end-of-run accumulators on
-     * every replay path (live and distilled).
+     * timeline telescopes exactly to the end-of-run accumulators in
+     * both loops.
      */
     void
     attachObservability(EventSink *sink, IntervalRecorder *recorder)
@@ -214,8 +188,8 @@ class OooCore
 
     /** Everything after an L1 miss is detected: miss counters, the L2
      *  access, completion bookkeeping, and the LSQ/window/dependence
-     *  side effects. Shared verbatim between runTyped and runDistilled
-     *  so the two paths cannot drift. */
+     *  side effects. Shared verbatim between run() and runDistilled so
+     *  the two loops cannot drift. */
     template <class LowerT>
     void missPath(LowerT &lower_mem, Addr addr, bool store, bool ifetch,
                   bool latency_critical, Cycle now);
@@ -346,59 +320,6 @@ OooCore::missPath(LowerT &lower_mem, Addr addr, bool store, bool ifetch,
     }
 }
 
-template <class LowerT, class TraceT>
-void
-OooCore::runTyped(LowerT &lower_mem, TraceT &trace, std::uint64_t records)
-{
-    TraceRecord r;
-    for (std::uint64_t n = 0; n < records; ++n) {
-        if (!trace.next(r))
-            break;
-
-        insts += r.inst_gap + 1;
-        instIndex += r.inst_gap + 1;
-        cycleF += (r.inst_gap + 1) * dispatchCpi;
-
-        if (r.has_branch) {
-            if (!bpred.predictAndUpdate(r.branch_pc, r.branch_taken))
-                cycleF += p.mispredict_penalty;
-        }
-
-        enforceWindow();
-
-        const bool ifetch = r.op == TraceOp::Ifetch;
-        const bool store = r.op == TraceOp::Store;
-
-        // A pointer-chase load cannot issue before the previous deep
-        // load's data returns — this is what exposes L2 *hit* latency
-        // (independent loads hide under the RUU window instead).
-        if (r.depends_on_prev && !store && !ifetch) {
-            if (static_cast<double>(lastMissCompletion) > cycleF) {
-                cycleF = static_cast<double>(lastMissCompletion);
-                ++statDepStalls;
-            }
-        }
-        const auto now = static_cast<Cycle>(cycleF);
-        SetAssocCache &l1 = ifetch ? l1i : l1d;
-        if (ifetch)
-            ++statL1IAccesses;
-        else
-            ++statL1DAccesses;
-
-        const SetAssocCache::Access a = l1.access(r.addr, store);
-        if (a.evicted && a.evicted_dirty) {
-            NURAPID_PROFILE_SCOPE(L2Org);
-            lower_mem.access(a.evicted_addr, AccessType::Writeback, now);
-        }
-        if (!a.hit) {
-            missPath(lower_mem, r.addr, store, ifetch,
-                     r.latency_critical, now);
-        }
-        if (obsRec) [[unlikely]]
-            obsRec->tick();
-    }
-}
-
 template <class LowerT>
 void
 OooCore::runDistilled(LowerT &lower_mem, DistilledTrace::Cursor &cur,
@@ -407,7 +328,6 @@ OooCore::runDistilled(LowerT &lower_mem, DistilledTrace::Cursor &cur,
     using DT = DistilledTrace;
     const std::uint64_t stop = cur.pos + records;
     const std::uint16_t *const gaps = cur.gaps;
-    const std::uint32_t pf = streamPrefetchDistance();
 
     while (cur.pos < stop) {
         panic_if(cur.ev == cur.ev_end,
@@ -417,12 +337,10 @@ OooCore::runDistilled(LowerT &lower_mem, DistilledTrace::Cursor &cur,
         // Lookahead hint: while this event's inert prefix and machine
         // bookkeeping run, the plane lines a near-future event will
         // touch stream into the host cache. cur.ev already points one
-        // past e, so pf == 1 hints the very next event.
-        if (pf) {
-            const DT::Event *const ahead = cur.ev + (pf - 1);
-            if (ahead < cur.ev_end)
-                lower_mem.prefetchHotLines(ahead->addr);
-        }
+        // past e, so cur.ev[0] is the very next event.
+        if (cur.ev_end - cur.ev >= kStreamPrefetchDistance)
+            lower_mem.prefetchHotLines(
+                cur.ev[kStreamPrefetchDistance - 1].addr);
         const std::uint64_t erec = e.rec;
         panic_if(erec >= stop,
                  "distilled event past the stop record — replay must "

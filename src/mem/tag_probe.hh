@@ -14,15 +14,15 @@
  * may therefore read (and match) pad words freely. Way counts are
  * capped at 64 so one mask word always covers a row.
  *
- * Three implementations, selected at configure time:
+ * Three implementations, selected by what the compiler target supports
+ * (the build probes the host for AVX2, then SSE4.1, at configure time):
  *   AVX2     4 tags per step (_mm256_cmpeq_epi64)
  *   SSE4.1   2 tags per step (_mm_cmpeq_epi64)
  *   NEON     2 tags per step (vceqq_u64)
- * with a portable scalar fallback that is also always compiled (as
- * probeMatchScalar / probeMatchMaskedScalar) so equivalence tests can
- * compare the two paths in the same binary. -DNURAPID_SIMD=OFF defines
- * NURAPID_FORCE_SCALAR_PROBE and routes everything through the scalar
- * path regardless of what the compiler target supports.
+ * with a portable scalar fallback, used on targets with none of them.
+ * The scalar kernels are always compiled (as probeMatchScalar /
+ * probeMatchMaskedScalar) so equivalence tests can compare the two
+ * paths in the same binary.
  *
  * The masked variants implement D-NUCA's partial-tag smart-search
  * compare, (tags[w] & mask) == needle, with the same lane order.
@@ -39,35 +39,18 @@
 
 #include <cstdint>
 
-#if !defined(NURAPID_FORCE_SCALAR_PROBE)
-#  if defined(__AVX2__)
-#    include <immintrin.h>
-#    define NURAPID_PROBE_AVX2 1
-#  elif defined(__SSE4_1__)
-#    include <smmintrin.h>
-#    define NURAPID_PROBE_SSE41 1
-#  elif defined(__aarch64__)
-#    include <arm_neon.h>
-#    define NURAPID_PROBE_NEON 1
-#  endif
+#if defined(__AVX2__)
+#  include <immintrin.h>
+#  define NURAPID_PROBE_AVX2 1
+#elif defined(__SSE4_1__)
+#  include <smmintrin.h>
+#  define NURAPID_PROBE_SSE41 1
+#elif defined(__aarch64__)
+#  include <arm_neon.h>
+#  define NURAPID_PROBE_NEON 1
 #endif
 
 namespace nurapid {
-
-/** Name of the compiled-in probe kernel (bench/test reporting). */
-constexpr const char *
-probeKernelName()
-{
-#if defined(NURAPID_PROBE_AVX2)
-    return "avx2";
-#elif defined(NURAPID_PROBE_SSE41)
-    return "sse4.1";
-#elif defined(NURAPID_PROBE_NEON)
-    return "neon";
-#else
-    return "scalar";
-#endif
-}
 
 /** Scalar reference: bit w set iff tags[w] == needle, w < n. */
 inline std::uint64_t

@@ -24,11 +24,11 @@
  *    and hit share, average/percentile access latency, demotion
  *    rate). Epochs are reference-count windows (default 64K refs,
  *    NURAPID_OBS_INTERVAL); the core ticks the recorder once per
- *    retired reference in runTyped and runDistilled alike. Snapshots
- *    are restricted to values that are per-record exact in both paths
- *    (cycles, instructions, organization counters, region hits,
- *    occupancy), so the timeline too is bit-identical live vs
- *    distilled.
+ *    retired reference in the reference loop (OooCore::run) and
+ *    runDistilled alike. Snapshots are restricted to values that are
+ *    per-record exact in both loops (cycles, instructions,
+ *    organization counters, region hits, occupancy), so the timeline
+ *    too is bit-identical live vs distilled.
  *
  *    Snapshots also sample the organization's cumulative
  *    EnergyBreakdown accumulators (plus off-chip energy), giving the

@@ -11,6 +11,7 @@
 #include "sim/runner/run_engine.hh"
 #include "sim/runner/span_trace.hh"
 #include "timing/geometry.hh"
+#include "trace/packed_trace.hh"
 #include "trace/profiles.hh"
 
 namespace nurapid {
@@ -64,35 +65,37 @@ System::System(const OrgSpec &org, const WorkloadProfile &profile,
       l1iCache(l1iOrg()), l1dCache(l1dOrg()),
       coreModel(std::make_unique<OooCore>(
           withWorkloadCpi(core_params, profile), l1iCache, l1dCache,
-          *lowerMem)),
-      trace(profile)
+          *lowerMem))
 {
-    if (packedTraceEnabled()) {
-        EngineSpan span("trace-pregen", "pregen " + profile.name);
-        packed = sharedPackedTrace(
-            profile, length.warmup_records + length.measure_records);
-    }
     const std::uint64_t total =
         length.warmup_records + length.measure_records;
-    if (packed && total > 0 && distillEnabled()) {
-        // The cuts are the segment boundaries runAll()'s phases stop
-        // at; folded counters are exact there, so resetStats() between
-        // warmup and measure sees the same state as the live loop.
-        std::vector<std::uint64_t> cuts;
-        if (length.warmup_records > 0 && length.warmup_records < total)
-            cuts.push_back(length.warmup_records);
-        cuts.push_back(total);
-
-        DistillParams dp;
-        dp.l1i = l1iCache.org();
-        dp.l1d = l1dCache.org();
-        dp.bp_entries = coreModel->branchPredictor().entries();
-        dp.bp_history_bits = coreModel->branchPredictor().historyBits();
-        dp.mshr_block_bytes = coreModel->params().mshr_block_bytes;
-        EngineSpan span("distill-decode", "distill " + profile.name);
-        distilled = sharedDistilledTrace(profile, total, cuts, dp);
-        dcur = distilled->cursor();
+    if (total == 0)
+        return;
+    // The distiller reads the packed stream from the registry; holding
+    // it here until the distill is done keeps its generation (or .trc
+    // load) under the trace-pregen span.
+    std::shared_ptr<const PackedTrace> packed;
+    {
+        EngineSpan span("trace-pregen", "pregen " + profile.name);
+        packed = sharedPackedTrace(profile, total);
     }
+    // The cuts are the segment boundaries runAll()'s phases stop at;
+    // folded counters are exact there, so resetStats() between warmup
+    // and measure sees the same state as the reference loop.
+    std::vector<std::uint64_t> cuts;
+    if (length.warmup_records > 0 && length.warmup_records < total)
+        cuts.push_back(length.warmup_records);
+    cuts.push_back(total);
+
+    DistillParams dp;
+    dp.l1i = l1iCache.org();
+    dp.l1d = l1dCache.org();
+    dp.bp_entries = coreModel->branchPredictor().entries();
+    dp.bp_history_bits = coreModel->branchPredictor().historyBits();
+    dp.mshr_block_bytes = coreModel->params().mshr_block_bytes;
+    EngineSpan span("distill-decode", "distill " + profile.name);
+    distilled = sharedDistilledTrace(profile, total, cuts, dp);
+    dcur = distilled->cursor();
 }
 
 void
@@ -100,50 +103,28 @@ System::runRecords(std::uint64_t records)
 {
     if (records == 0)
         return;
-    if (!packed) {
-        NURAPID_PROFILE_SCOPE(Core);
-        coreModel->run(trace, records);
-        return;
-    }
-    if (distilled) {
-        const std::uint64_t end = consumed + records;
-        if (end <= distilled->size() && distilled->isCut(end)) {
-            NURAPID_PROFILE_SCOPE(Core);
-            withConcreteOrg(*lowerMem, spec.kind, [&](auto &org) {
-                coreModel->runDistilled(org, dcur, records);
-            });
-            consumed = end;
-            return;
-        }
-        // A custom phase schedule that does not land on the distilled
-        // cuts: before anything has replayed, fall back to the live
-        // loop wholesale; afterwards the L1/predictor tables are stale
-        // and no correct continuation exists.
-        panic_if(consumed != 0,
-                 "segment end %llu is not a distillation cut; set "
-                 "NURAPID_DISTILL=0 for custom phase schedules",
-                 static_cast<unsigned long long>(end));
-        distilled.reset();
-    }
-    if (consumed + records > packed->size()) {
-        EngineSpan span("trace-pregen", "extend " + prof.name);
-        packed = sharedPackedTrace(prof, consumed + records);
-    }
+    const std::uint64_t end = dcur.pos + records;
+    panic_if(end > distilled->size() || !distilled->isCut(end),
+             "segment end %llu is not a distillation cut",
+             static_cast<unsigned long long>(end));
     NURAPID_PROFILE_SCOPE(Core);
-    PackedTrace::Cursor cur =
-        packed->cursorRange(consumed, consumed + records);
     withConcreteOrg(*lowerMem, spec.kind, [&](auto &org) {
-        coreModel->runTyped(org, cur, records);
+        coreModel->runDistilled(org, dcur, records);
     });
-    consumed += records - cur.remaining();
+}
+
+void
+System::endWarmup()
+{
+    coreModel->resetStats();
+    lowerMem->resetStats();
 }
 
 void
 System::warmup()
 {
     runRecords(length.warmup_records);
-    coreModel->resetStats();
-    lowerMem->resetStats();
+    endWarmup();
 }
 
 void
@@ -177,7 +158,7 @@ System::enableObservability(const ObsConfig &cfg)
 }
 
 void
-System::measure()
+System::beginMeasure()
 {
     if (obsSink && !obsAttached) {
         lowerMem->attachObserver(obsSink.get());
@@ -186,6 +167,12 @@ System::measure()
             obsRec->begin();
         obsAttached = true;
     }
+}
+
+void
+System::measure()
+{
+    beginMeasure();
     runRecords(length.measure_records);
 }
 
@@ -263,17 +250,32 @@ System::exportObservability(RunMetrics &m)
 }
 
 RunMetrics
-System::runAll()
+System::runPhases(const std::function<void(std::uint64_t)> &feed)
 {
-    EngineSpan span("simulate", prof.name + " / " + spec.description());
     const auto start = std::chrono::steady_clock::now();
-    warmup();
-    measure();
+    feed(length.warmup_records);
+    endWarmup();
+    beginMeasure();
+    feed(length.measure_records);
     wallSeconds = std::chrono::duration<double>(
         std::chrono::steady_clock::now() - start).count();
     RunMetrics m = metrics();
     exportObservability(m);
     return m;
+}
+
+RunMetrics
+System::runAll()
+{
+    EngineSpan span("simulate", prof.name + " / " + spec.description());
+    return runPhases([this](std::uint64_t n) { runRecords(n); });
+}
+
+RunMetrics
+System::runAllReference()
+{
+    SyntheticTrace trace(prof);
+    return runPhases([&](std::uint64_t n) { coreModel->run(trace, n); });
 }
 
 RunMetrics

@@ -2,11 +2,15 @@
  * @file
  * Full simulated system: OoO core + L1 I/D + one lower-level cache
  * organization + a synthetic workload, with warmup/measure phases.
+ * Production runs replay the workload's distilled L2-event stream;
+ * runAllReference() runs the same phases through the live per-record
+ * loop for tests.
  */
 
 #ifndef NURAPID_SIM_SYSTEM_HH
 #define NURAPID_SIM_SYSTEM_HH
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -16,8 +20,6 @@
 #include "sim/config.hh"
 #include "sim/obs/obs.hh"
 #include "trace/distilled_trace.hh"
-#include "trace/packed_trace.hh"
-#include "trace/synthetic.hh"
 
 namespace nurapid {
 
@@ -72,6 +74,15 @@ class System
     /** Runs warmup (stats then reset) and the measurement phase. */
     RunMetrics runAll();
 
+    /**
+     * runAll() through the reference loop (OooCore::run over a freshly
+     * generated SyntheticTrace, every record through the L1s and the
+     * predictor) instead of the distilled replay. Same phases, same
+     * observability export; tests hold runAll() bit-identical to it.
+     * Call on a fresh System, instead of runAll().
+     */
+    RunMetrics runAllReference();
+
     /** Lower-level phases for custom experiments. */
     void warmup();
     void measure();
@@ -95,10 +106,18 @@ class System
     SetAssocCache &l1d() { return l1dCache; }
 
   private:
-    /** Feeds the next @p records workload records through the core via
-     *  the devirtualized per-organization loop (or the live-generation
-     *  fallback when NURAPID_TRACE_PREGEN=0). */
+    /** Replays the next @p records records of the distilled stream;
+     *  the segment must end on one of the stream's cuts (the phase
+     *  boundaries runAll() stops at). */
     void runRecords(std::uint64_t records);
+
+    /** Zeroes statistics after warmup, keeping caches warm. */
+    void endWarmup();
+    /** Attaches the armed observers at measurement start. */
+    void beginMeasure();
+    /** Warmup, reset, measure, metrics and export, feeding each phase
+     *  through @p feed (records → simulated). */
+    RunMetrics runPhases(const std::function<void(std::uint64_t)> &feed);
 
     OrgSpec spec;
     WorkloadProfile prof;
@@ -107,16 +126,8 @@ class System
     SetAssocCache l1iCache;
     SetAssocCache l1dCache;
     std::unique_ptr<OooCore> coreModel;
-    SyntheticTrace trace;  //!< live-generation fallback stream
-    /** Shared pre-generated stream (null when pre-generation is off)
-     *  and the count of records this system has consumed from it. */
-    std::shared_ptr<const PackedTrace> packed;
-    std::uint64_t consumed = 0;
-    /** Shared distilled L2-event stream (null when distillation is
-     *  off) and this system's replay position in it. Once any segment
-     *  has replayed distilled, the L1/predictor tables are stale, so
-     *  every later segment must replay distilled too — runRecords
-     *  panics on a segment that does not end on a distillation cut. */
+    /** Shared distilled L2-event stream (null for an empty run) and
+     *  this system's replay position in it. */
     std::shared_ptr<const DistilledTrace> distilled;
     DistilledTrace::Cursor dcur;
     /** Finishes the timeline and writes any requested export files,

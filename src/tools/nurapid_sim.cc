@@ -97,12 +97,6 @@ usage(const char *argv0)
         "                          memoization cache (JSON)\n"
         "  NURAPID_TRACE_CACHE_DIR on-disk packed/distilled trace cache\n"
         "                          directory\n"
-        "  NURAPID_TRACE_PREGEN    0 disables trace pre-generation\n"
-        "                          (per-record live generation instead)\n"
-        "  NURAPID_DISTILL         0 disables distilled L2-event replay\n"
-        "  NURAPID_PREFETCH        0 disables stream-lookahead prefetch\n"
-        "  NURAPID_PREFETCH_DIST   prefetch lookahead in events\n"
-        "                          (default 8, clamped to 1..256)\n"
         "  NURAPID_SIM_SCALE       global simulation-length multiplier\n"
         "  NURAPID_AUDIT           1 enables the invariant-audit layer\n"
         "  NURAPID_AUDIT_INTERVAL  accesses between audit sweeps\n"

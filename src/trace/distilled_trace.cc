@@ -7,7 +7,6 @@
 #include <list>
 #include <mutex>
 #include <string>
-#include <string_view>
 
 #include <fcntl.h>
 #include <sys/mman.h>
@@ -444,13 +443,6 @@ dropUnusedDistilledTraces()
         }
     }
     return freed;
-}
-
-bool
-distillEnabled()
-{
-    const char *s = std::getenv("NURAPID_DISTILL");
-    return s == nullptr || std::string_view(s) != "0";
 }
 
 } // namespace nurapid

@@ -33,13 +33,13 @@
  * same epoch are provably no-ops).
  *
  * OooCore::runDistilled replays events only, applying the window/LSQ/
- * MSHR logic at the stored record indices; tests/test_distilled_trace.cc
- * asserts bit-identity against the live loop for every workload and
- * organization kind. Buffers are shared process-wide per fingerprint
- * (profile, seed mix, L1 geometry, predictor config, MSHR sector,
- * segment cuts) and persisted to NURAPID_TRACE_CACHE_DIR next to the
- * packed .trc files (mmap-loaded). NURAPID_DISTILL=0 falls back to the
- * live per-record loop.
+ * MSHR logic at the stored record indices; it is the System's only
+ * replay path. tests/test_reference_identity.cc asserts bit-identity
+ * against the reference per-record loop (OooCore::run) for every
+ * workload and every organization the sweep simulates. Buffers are
+ * shared process-wide per fingerprint (profile, seed mix, L1 geometry,
+ * predictor config, MSHR sector, segment cuts) and persisted to
+ * NURAPID_TRACE_CACHE_DIR next to the packed .trc files (mmap-loaded).
  */
 
 #ifndef NURAPID_TRACE_DISTILLED_TRACE_HH
@@ -189,9 +189,6 @@ sharedDistilledTrace(const WorkloadProfile &profile, std::uint64_t records,
 
 /** Drops registry entries no one else holds; returns entries freed. */
 std::size_t dropUnusedDistilledTraces();
-
-/** False when NURAPID_DISTILL=0 disables distilled replay. */
-bool distillEnabled();
 
 } // namespace nurapid
 

@@ -15,8 +15,9 @@
  * for the life of the process so every run of the same workload —
  * including the RunEngine's concurrent workers — shares one read-only
  * buffer. Replay is record-for-record identical to SyntheticTrace
- * (asserted by tests/test_packed_trace.cc); set NURAPID_TRACE_PREGEN=0
- * to fall back to live generation.
+ * (asserted by tests/test_packed_trace.cc). The buffer is what the
+ * distiller (trace/distilled_trace.hh) reads; the System replays the
+ * distilled stream, not the packed records themselves.
  */
 
 #ifndef NURAPID_TRACE_PACKED_TRACE_HH
@@ -137,15 +138,6 @@ class PackedTrace
 
     Cursor cursorAll() const { return cursor(nrecs); }
 
-    /** Cursor over records [first, last), both clamped to size(). */
-    Cursor
-    cursorRange(std::uint64_t first, std::uint64_t last) const
-    {
-        const std::uint64_t hi = last < nrecs ? last : nrecs;
-        const std::uint64_t lo = first < hi ? first : hi;
-        return Cursor(recs + lo, recs + hi);
-    }
-
   private:
     void generate(std::uint64_t upto);
 
@@ -157,23 +149,6 @@ class PackedTrace
     SyntheticTrace gen;  //!< generator state advanced past buf
     std::uint64_t mix;
     bool from_file = false;
-};
-
-/** TraceSource adapter over a shared packed buffer (tools/tests). */
-class PackedTraceSource : public TraceSource
-{
-  public:
-    explicit PackedTraceSource(std::shared_ptr<const PackedTrace> trace)
-        : buf(std::move(trace)), cur(buf->cursorAll())
-    {
-    }
-
-    bool next(TraceRecord &record) override { return cur.next(record); }
-    void reset() override { cur = buf->cursorAll(); }
-
-  private:
-    std::shared_ptr<const PackedTrace> buf;
-    PackedTrace::Cursor cur;
 };
 
 /**
@@ -203,9 +178,6 @@ std::size_t dropUnusedPackedTraces();
  *  caches (distilled streams) so they inherit trace invalidation. */
 Fingerprint packedTraceFingerprint(const WorkloadProfile &profile,
                                    std::uint64_t seed_mix);
-
-/** False when NURAPID_TRACE_PREGEN=0 disables pre-generation. */
-bool packedTraceEnabled();
 
 } // namespace nurapid
 

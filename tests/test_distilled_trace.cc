@@ -1,12 +1,9 @@
 /**
  * @file
- * Distilled-trace tests: replaying the precomputed L2-event stream
- * must be bit-identical to the live per-record loop — same RunMetrics
- * and same statistics, for every workload profile and every
- * organization kind (this is the guarantee that lets the sweep skip
- * the org-independent work 18 times over). Also covers the disk
- * round-trip, fingerprint invalidation, and the NURAPID_DISTILL=0
- * fallback.
+ * Distilled-trace tests: the disk round-trip, fingerprint invalidation
+ * and event-stream shape. Bit-identity of the replay against the live
+ * per-record loop, for every sweep organization and workload, lives in
+ * tests/test_reference_identity.cc.
  */
 
 #include <gtest/gtest.h>
@@ -16,117 +13,12 @@
 #include <string>
 #include <vector>
 
-#include "sim/runner/run_engine.hh"
 #include "sim/system.hh"
 #include "trace/distilled_trace.hh"
 #include "trace/profiles.hh"
 
 namespace nurapid {
 namespace {
-
-/** The five organization kinds, one preset each. */
-std::vector<OrgSpec>
-oneOrgPerKind()
-{
-    return {OrgSpec::baseline(), OrgSpec::dnucaSsPerformance(),
-            OrgSpec::snucaDefault(), OrgSpec::nurapidDefault(),
-            OrgSpec::coupledSA()};
-}
-
-/** Runs (org, prof, len) once with distillation forced on or off and
- *  returns the metrics plus every statistic the replay folds. */
-struct Observed
-{
-    RunMetrics metrics;
-    std::string core_stats;
-    std::string l1i_stats;
-    std::string l1d_stats;
-    std::string bpred_stats;
-    std::string lower_stats;
-};
-
-Observed
-observe(const OrgSpec &org, const WorkloadProfile &prof,
-        const SimLength &len, bool distill)
-{
-    ::setenv("NURAPID_DISTILL", distill ? "1" : "0", 1);
-    System sys(org, prof, len);
-    Observed o;
-    o.metrics = sys.runAll();
-    o.core_stats = sys.core().stats().dump();
-    o.l1i_stats = sys.l1i().stats().dump();
-    o.l1d_stats = sys.l1d().stats().dump();
-    o.bpred_stats = sys.core().branchPredictor().stats().dump();
-    o.lower_stats = sys.lower().stats().dump();
-    ::unsetenv("NURAPID_DISTILL");
-    return o;
-}
-
-void
-expectSameObservation(const Observed &live, const Observed &distilled,
-                      const std::string &what)
-{
-    EXPECT_TRUE(identicalMetrics(live.metrics, distilled.metrics))
-        << what << ": metrics diverged (ipc " << live.metrics.ipc
-        << " vs " << distilled.metrics.ipc << ", cycles "
-        << live.metrics.cycles << " vs " << distilled.metrics.cycles
-        << ")";
-    EXPECT_EQ(live.core_stats, distilled.core_stats) << what;
-    EXPECT_EQ(live.l1i_stats, distilled.l1i_stats) << what;
-    EXPECT_EQ(live.l1d_stats, distilled.l1d_stats) << what;
-    EXPECT_EQ(live.bpred_stats, distilled.bpred_stats) << what;
-    EXPECT_EQ(live.lower_stats, distilled.lower_stats) << what;
-    EXPECT_GT(distilled.metrics.instructions, 0u) << what;
-}
-
-TEST(DistilledTrace, ReplayMatchesLiveLoopForEveryWorkload)
-{
-    // Every workload profile, cycling through the five organization
-    // kinds so each kind sees several workloads.
-    const SimLength len{20'000, 60'000};
-    const std::vector<OrgSpec> orgs = oneOrgPerKind();
-    std::size_t i = 0;
-    for (const WorkloadProfile &prof : workloadSuite()) {
-        const OrgSpec &org = orgs[i++ % orgs.size()];
-        const Observed live = observe(org, prof, len, false);
-        const Observed dist = observe(org, prof, len, true);
-        expectSameObservation(live, dist,
-                              prof.name + " / " + org.description());
-    }
-}
-
-TEST(DistilledTrace, ReplayMatchesLiveLoopForEveryOrganizationKind)
-{
-    // One memory-intensive workload against all five kinds: the replay
-    // must agree on every org-dependent path (search, migration,
-    // writeback handling) too.
-    const SimLength len{25'000, 75'000};
-    const WorkloadProfile prof = findProfile("mcf");
-    for (const OrgSpec &org : oneOrgPerKind()) {
-        const Observed live = observe(org, prof, len, false);
-        const Observed dist = observe(org, prof, len, true);
-        expectSameObservation(live, dist,
-                              prof.name + " / " + org.description());
-    }
-}
-
-TEST(DistilledTrace, FallbackMatchesWhenDisabled)
-{
-    ::setenv("NURAPID_DISTILL", "0", 1);
-    EXPECT_FALSE(distillEnabled());
-    ::unsetenv("NURAPID_DISTILL");
-    EXPECT_TRUE(distillEnabled());
-
-    // Disabled and enabled runs of the same config agree (the
-    // fallback is the live loop the replay is tested against).
-    const SimLength len{10'000, 30'000};
-    const WorkloadProfile prof = findProfile("gzip");
-    const Observed off = observe(OrgSpec::nurapidDefault(), prof, len,
-                                 false);
-    const Observed on = observe(OrgSpec::nurapidDefault(), prof, len,
-                                true);
-    expectSameObservation(off, on, "NURAPID_DISTILL fallback");
-}
 
 TEST(DistilledTrace, DiskRoundTripIsBitIdentical)
 {

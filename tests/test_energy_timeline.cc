@@ -6,14 +6,13 @@
  * must equal the EnergyBreakdown fields exactly (no tolerance — the
  * snapshots copy cumulative doubles, so the telescoping epoch deltas
  * re-sum to the end-of-run totals by construction), and the timeline
- * must be identical between the live interpreter and the distilled
- * fast path. Also locks the run-cache bypass marker the
+ * must be identical between the live reference loop and the distilled
+ * replay. Also locks the run-cache bypass marker the
  * exporter writes for observed runs.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -21,7 +20,6 @@
 #include "sim/runner/run_cache.hh"
 #include "sim/runner/run_engine.hh"
 #include "sim/system.hh"
-#include "trace/distilled_trace.hh"
 #include "trace/profiles.hh"
 
 namespace nurapid {
@@ -53,21 +51,20 @@ struct EnergyRun
     double lower_nj = 0;           //!< off-chip share at end of run
 };
 
-/** Observed run with the distilled fast path forced on or off. */
+/** Observed run through the distilled replay (runAll) or, with
+ *  @p reference, the live per-record loop (runAllReference). */
 EnergyRun
 observedRun(const OrgSpec &spec, const std::string &profile,
-            const SimLength &len, bool distill)
+            const SimLength &len, bool reference = false)
 {
-    ::setenv("NURAPID_DISTILL", distill ? "1" : "0", 1);
     System sys(spec, findProfile(profile), len);
     sys.enableObservability(metricsOnly());
     EnergyRun run;
-    run.metrics = sys.runAll();
+    run.metrics = reference ? sys.runAllReference() : sys.runAll();
     run.timeline = sys.observabilityRecorder()->timeline();
     run.breakdown = *sys.lower().energyBreakdown();
     run.lower_nj =
         sys.lower().dynamicEnergyNJ() - sys.lower().cacheEnergyNJ();
-    ::unsetenv("NURAPID_DISTILL");
     return run;
 }
 
@@ -104,8 +101,7 @@ TEST(EnergyTimeline, FinalSnapshotReconcilesWithRunTotalsForAllOrgs)
 {
     const SimLength len{10'000, 50'000};
     for (const OrgSpec &spec : allOrgs()) {
-        const EnergyRun run =
-            observedRun(spec, "mcf", len, distillEnabled());
+        const EnergyRun run = observedRun(spec, "mcf", len);
         const std::string what = spec.description();
         ASSERT_GE(run.timeline.size(), 2u) << what;
         const IntervalSnapshot &last = run.timeline.back();
@@ -143,7 +139,7 @@ TEST(EnergyTimeline, CumulativeSamplesAreMonotone)
 {
     const EnergyRun run =
         observedRun(OrgSpec::nurapidDefault(), "art",
-                    SimLength{10'000, 50'000}, distillEnabled());
+                    SimLength{10'000, 50'000});
     ASSERT_GE(run.timeline.size(), 2u);
     for (std::size_t i = 1; i < run.timeline.size(); ++i) {
         const IntervalSnapshot &p = run.timeline[i - 1];
@@ -156,17 +152,14 @@ TEST(EnergyTimeline, CumulativeSamplesAreMonotone)
     }
 }
 
-// The distilled fast path must attribute energy exactly like the live
-// interpreter, epoch by epoch — not just in the final totals.
+// The distilled replay must attribute energy exactly like the live
+// reference loop, epoch by epoch — not just in the final totals.
 TEST(EnergyTimeline, LiveAndDistilledTimelinesAreBitIdentical)
 {
-    if (!distillEnabled())
-        GTEST_SKIP() << "distilled fast path disabled "
-                        "(NURAPID_DISTILL=0)";
     const SimLength len{20'000, 60'000};
     for (const OrgSpec &spec : allOrgs()) {
-        const EnergyRun live = observedRun(spec, "swim", len, false);
-        const EnergyRun fast = observedRun(spec, "swim", len, true);
+        const EnergyRun live = observedRun(spec, "swim", len, true);
+        const EnergyRun fast = observedRun(spec, "swim", len);
         expectSameEnergyTimeline(live.timeline, fast.timeline,
                                  spec.description());
         EXPECT_TRUE(identicalMetrics(live.metrics, fast.metrics))

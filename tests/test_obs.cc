@@ -1,11 +1,12 @@
 /**
  * @file
  * Observability-layer tests: the flight-recorder event stream must be
- * identical between the live per-record loop and the distilled replay
- * (the hooks live in organization code both paths share), the interval
- * timeline must conserve counters (the final snapshot equals the
- * end-of-run statistics exactly), detached hooks must not allocate,
- * and the exporters must round-trip through the common JSON parser.
+ * identical between the live per-record reference loop and the
+ * distilled replay (the hooks live in organization code both loops
+ * share), the interval timeline must conserve counters (the final
+ * snapshot equals the end-of-run statistics exactly), detached hooks
+ * must not allocate, and the exporters must round-trip through the
+ * common JSON parser.
  *
  * This translation unit replaces the global allocator with a counting
  * malloc shim so the detached-hook test can assert "zero allocations";
@@ -72,18 +73,22 @@ struct ObsRun
     std::uint64_t misses = 0;
 };
 
+/** Observed run through the distilled replay (runAll) or, with
+ *  @p reference, the live per-record loop (runAllReference). */
 ObsRun
 observedRun(const OrgSpec &org, const WorkloadProfile &prof,
-            const SimLength &len, bool distill)
+            const SimLength &len, bool reference = false)
 {
-    ::setenv("NURAPID_DISTILL", distill ? "1" : "0", 1);
     System sys(org, prof, len);
     ObsConfig cfg;
     cfg.record_events = true;
     cfg.record_metrics = true;
     cfg.interval = 4096;
     sys.enableObservability(cfg);
-    sys.runAll();
+    if (reference)
+        sys.runAllReference();
+    else
+        sys.runAll();
     ObsRun r;
     r.events = sys.observabilitySink()->events();
     r.timeline = sys.observabilityRecorder()->timeline();
@@ -91,7 +96,6 @@ observedRun(const OrgSpec &org, const WorkloadProfile &prof,
     const StatGroup &ls = sys.lower().stats();
     r.hits = ls.hasCounter("hits") ? ls.counterValue("hits") : 0;
     r.misses = ls.hasCounter("misses") ? ls.counterValue("misses") : 0;
-    ::unsetenv("NURAPID_DISTILL");
     return r;
 }
 
@@ -131,8 +135,8 @@ TEST(Obs, EventStreamIdenticalLiveVsDistilledNuRapid)
     const SimLength len{20'000, 60'000};
     const WorkloadProfile prof = findProfile("mcf");
     const OrgSpec org = OrgSpec::nurapidDefault();
-    const ObsRun live = observedRun(org, prof, len, false);
-    const ObsRun dist = observedRun(org, prof, len, true);
+    const ObsRun live = observedRun(org, prof, len, true);
+    const ObsRun dist = observedRun(org, prof, len);
     ASSERT_GT(live.events.size(), 0u);
     expectSameEventStream(live, dist, "nurapid/mcf");
 }
@@ -142,8 +146,8 @@ TEST(Obs, EventStreamIdenticalLiveVsDistilledDNuca)
     const SimLength len{20'000, 60'000};
     const WorkloadProfile prof = findProfile("art");
     const OrgSpec org = OrgSpec::dnucaSsPerformance();
-    const ObsRun live = observedRun(org, prof, len, false);
-    const ObsRun dist = observedRun(org, prof, len, true);
+    const ObsRun live = observedRun(org, prof, len, true);
+    const ObsRun dist = observedRun(org, prof, len);
     ASSERT_GT(live.events.size(), 0u);
     expectSameEventStream(live, dist, "dnuca/art");
 }
@@ -152,7 +156,7 @@ TEST(Obs, TimelineConservesCounters)
 {
     const SimLength len{10'000, 50'000};
     const ObsRun r = observedRun(OrgSpec::nurapidDefault(),
-                                 findProfile("swim"), len, true);
+                                 findProfile("swim"), len);
     ASSERT_GE(r.timeline.size(), 3u) << "want several epochs";
 
     // Epoch 0 is the post-warmup baseline: everything zero.

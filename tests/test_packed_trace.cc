@@ -2,8 +2,8 @@
  * @file
  * Packed-trace tests: the pre-generated buffer must replay
  * record-for-record identically to live SyntheticTrace generation for
- * every workload profile (this is what makes the devirtualized sweep
- * path bit-identical to the original), the process-wide registry must
+ * every workload profile (the distiller reads the packed buffer, the
+ * reference loop a live SyntheticTrace), the process-wide registry must
  * share and extend buffers correctly, and RunEngine workers sharing
  * one buffer must produce bit-identical metrics.
  */
@@ -81,27 +81,6 @@ TEST(PackedTrace, ExtensionEqualsOneLongerGeneration)
     }
 }
 
-TEST(PackedTrace, CursorRangeReplaysTheMiddleOfTheStream)
-{
-    const WorkloadProfile prof = findProfile("gzip");
-    const PackedTrace packed(prof, 5'000);
-
-    SyntheticTrace live(prof);
-    TraceRecord skip;
-    for (int i = 0; i < 1'000; ++i)
-        ASSERT_TRUE(live.next(skip));
-
-    PackedTrace::Cursor cur = packed.cursorRange(1'000, 5'000);
-    EXPECT_EQ(cur.remaining(), 4'000u);
-    TraceRecord a, b;
-    for (std::uint64_t i = 0; i < 4'000; ++i) {
-        ASSERT_TRUE(cur.next(a));
-        ASSERT_TRUE(live.next(b));
-        expectSameRecord(a, b, "range", i);
-    }
-    EXPECT_FALSE(cur.next(a));
-}
-
 TEST(PackedTrace, RegistrySharesAndExtendsBuffers)
 {
     const WorkloadProfile prof = findProfile("applu");
@@ -119,30 +98,6 @@ TEST(PackedTrace, RegistrySharesAndExtendsBuffers)
     while (a.next(ra)) {
         ASSERT_TRUE(b.next(rb));
         expectSameRecord(ra, rb, "registry extension prefix", i++);
-    }
-}
-
-TEST(PackedTrace, SourceAdapterMatchesLiveTraceAndResets)
-{
-    const WorkloadProfile prof = findProfile("twolf");
-    const auto shared = sharedPackedTrace(prof, 3'000);
-    PackedTraceSource src(shared);
-    SyntheticTrace live(prof);
-
-    TraceRecord a, b;
-    for (std::uint64_t i = 0; i < 3'000; ++i) {
-        ASSERT_TRUE(src.next(a));
-        ASSERT_TRUE(live.next(b));
-        expectSameRecord(a, b, "adapter", i);
-    }
-    EXPECT_FALSE(src.next(a));
-
-    src.reset();
-    live.reset();
-    for (std::uint64_t i = 0; i < 3'000; ++i) {
-        ASSERT_TRUE(src.next(a));
-        ASSERT_TRUE(live.next(b));
-        expectSameRecord(a, b, "adapter after reset", i);
     }
 }
 
@@ -239,27 +194,6 @@ TEST(PackedTrace, DiskCacheRoundTripIsBitIdentical)
     }
 
     ::unsetenv("NURAPID_TRACE_CACHE_DIR");
-}
-
-TEST(PackedTrace, LiveGenerationFallbackIsBitIdentical)
-{
-    const SimLength len{15'000, 45'000};
-    const WorkloadProfile prof = findProfile("art");
-
-    ASSERT_TRUE(packedTraceEnabled());
-    System pregen(OrgSpec::nurapidDefault(), prof, len);
-    const RunMetrics with = pregen.runAll();
-
-    ::setenv("NURAPID_TRACE_PREGEN", "0", 1);
-    EXPECT_FALSE(packedTraceEnabled());
-    System live_sys(OrgSpec::nurapidDefault(), prof, len);
-    const RunMetrics without = live_sys.runAll();
-    ::unsetenv("NURAPID_TRACE_PREGEN");
-
-    EXPECT_TRUE(identicalMetrics(with, without))
-        << "pre-generated replay diverged from live generation "
-        << "(ipc " << with.ipc << " vs " << without.ipc << ")";
-    EXPECT_GT(with.instructions, 0u);
 }
 
 } // namespace

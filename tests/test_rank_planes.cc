@@ -1,28 +1,19 @@
 /**
  * @file
- * Packed rank-plane correctness and whole-system identity for the
- * hot-state shrink.
- *
- * Two layers of evidence:
- *  - RankPlane (SWAR, 4- or 8-bit fields) against RankPlaneRef (scalar
- *    bytes) and against a 64-bit stamp model — the recency encoding
- *    the plane replaced — under identical random churn, for way counts
- *    on both sides of the packed4 boundary and at the 64-way cap.
- *  - Stream-lookahead prefetch on/off must leave RunMetrics
- *    bit-identical (the hints never touch simulated state).
+ * Packed rank-plane correctness: RankPlane (SWAR, 4- or 8-bit fields)
+ * against RankPlaneRef (scalar bytes) and against a 64-bit stamp
+ * model — the recency encoding the plane replaced — under identical
+ * random churn, for way counts on both sides of the packed4 boundary
+ * and at the 64-way cap.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <vector>
 
 #include "common/rng.hh"
 #include "mem/rank_plane.hh"
-#include "sim/runner/run_cache.hh"
-#include "sim/system.hh"
-#include "trace/profiles.hh"
 
 namespace nurapid {
 namespace {
@@ -167,53 +158,6 @@ TEST(RankPlane, TouchOfMruAndDeepLruIsExact)
         plane.touch(0, lru);
         EXPECT_EQ(plane.rankOf(0, lru), 0u);
         EXPECT_TRUE(plane.isPermutation(0));
-    }
-}
-
-/** The five final organizations, in sweep order. */
-std::vector<OrgSpec>
-allOrgs()
-{
-    return {OrgSpec::baseline(), OrgSpec::nurapidDefault(),
-            OrgSpec::dnucaSsPerformance(), OrgSpec::coupledSA(),
-            OrgSpec::snucaDefault()};
-}
-
-std::vector<RunMetrics>
-runSolo(const std::vector<OrgSpec> &orgs, const WorkloadProfile &profile,
-        const SimLength &length)
-{
-    std::vector<RunMetrics> out;
-    for (const auto &spec : orgs) {
-        System sys(spec, profile, length);
-        out.push_back(sys.runAll());
-    }
-    return out;
-}
-
-TEST(StreamPrefetch, OnAndOffProduceIdenticalMetrics)
-{
-    const auto &profile = findProfile("mcf");
-    const SimLength length{20'000, 60'000};
-    const auto orgs = allOrgs();
-
-    setenv("NURAPID_PREFETCH", "0", 1);
-    const auto off = runSolo(orgs, profile, length);
-    unsetenv("NURAPID_PREFETCH");
-    setenv("NURAPID_PREFETCH_DIST", "2", 1);
-    const auto near = runSolo(orgs, profile, length);
-    setenv("NURAPID_PREFETCH_DIST", "64", 1);
-    const auto far = runSolo(orgs, profile, length);
-    unsetenv("NURAPID_PREFETCH_DIST");
-
-    ASSERT_EQ(off.size(), orgs.size());
-    for (std::size_t i = 0; i < orgs.size(); ++i) {
-        EXPECT_TRUE(identicalMetrics(off[i], near[i]))
-            << orgs[i].description() << ": prefetch distance 2 changed "
-            << "the result";
-        EXPECT_TRUE(identicalMetrics(off[i], far[i]))
-            << orgs[i].description() << ": prefetch distance 64 changed "
-            << "the result";
     }
 }
 
