@@ -60,6 +60,12 @@ run_logged() {
     tail -n "$rl_lines" "$rl_log"
 }
 
+# Stage banner, stamped with the epoch second it starts at, so any two
+# consecutive banners of one log give that stage's wall time.
+banner() {
+    echo "=== [$config] $1 === $(date +%s)"
+}
+
 for config in $configs; do
     case "$config" in
       release) flags="-DCMAKE_BUILD_TYPE=RelWithDebInfo" ;;
@@ -71,18 +77,18 @@ for config in $configs; do
     esac
     dir="build-check-$config"
 
-    echo "=== [$config] configure ($flags) ==="
+    banner "configure ($flags)"
     # shellcheck disable=SC2086  # flags is a word list on purpose
     cmake -B "$dir" -S . -DNURAPID_AUDIT=ON $flags >/dev/null
-    echo "=== [$config] build ==="
+    banner "build"
     cmake --build "$dir" -j "$jobs" >/dev/null
 
-    echo "=== [$config] ctest -L tier1 ==="
+    banner "ctest -L tier1"
     (cd "$dir" && run_logged ctest_tier1.log 3 \
         ctest -L tier1 -j "$jobs" --output-on-failure)
 
     if [ "$config" = "release" ]; then
-        echo "=== [$config] obs smoke (flight recorder + report) ==="
+        banner "obs smoke (flight recorder + report)"
         obs_dir="$dir/obs_smoke"
         rm -rf "$obs_dir"
         mkdir -p "$obs_dir"
@@ -119,7 +125,7 @@ for config in $configs; do
         # observed suite (which bypasses the cache), and a second
         # fresh-cache suite must leave bit-identical caches modulo
         # wall-clock.
-        echo "=== [$config] obs-off determinism (run-cache identity) ==="
+        banner "obs-off determinism (run-cache identity)"
         NURAPID_SIM_SCALE=0.02 NURAPID_RUN_CACHE="$obs_dir/cache_a.json" \
             "$dir/src/tools/nurapid_sim" --org dnuca --suite \
             > /dev/null
@@ -143,7 +149,7 @@ for config in $configs; do
 
         # Engine-trace smoke on the all-organizations suite: spans
         # are host-side only, so tracing cannot perturb the run.
-        echo "=== [$config] engine-trace smoke (all organizations) ==="
+        banner "engine-trace smoke (all organizations)"
         trace_dir="$dir/engine_trace_smoke"
         rm -rf "$trace_dir"
         mkdir -p "$trace_dir"
@@ -168,13 +174,13 @@ for config in $configs; do
             exit 1; }
     fi
 
-    echo "=== [$config] fuzz smoke ($fuzz_iters iters, audits on) ==="
+    banner "fuzz smoke ($fuzz_iters iters, audits on)"
     NURAPID_AUDIT=1 NURAPID_AUDIT_INTERVAL=512 \
         "$dir/src/tools/nurapid_fuzz" --iters "$fuzz_iters" \
         --dump-dir "$dir"
 
     if [ "$config" = "profile" ]; then
-        echo "=== [$config] perf smoke (short cold sweep, profiler on) ==="
+        banner "perf smoke (short cold sweep, profiler on)"
         smoke_cache="$dir/perf_smoke_cache.json"
         rm -f "$smoke_cache"
         # Drop cached distilled streams so the smoke always pays (and
@@ -242,7 +248,7 @@ for config in $configs; do
         # The sweep simulates 267 unique configurations; bit-identity
         # of each organization against the reference loop is the
         # tier-1 ReferenceIdentity test.
-        echo "=== [$config] sweep run-cache size (267 configs) ==="
+        banner "sweep run-cache size (267 configs)"
         sweep_entries=$(grep -o '"key"' "$smoke_cache" | wc -l)
         [ "$sweep_entries" -eq 267 ] || {
             echo "perf smoke: expected 267 unique configurations," \
@@ -263,7 +269,7 @@ for config in $configs; do
         mkdir -p "$guard_dir"
         for guard_bench in bench_ablation_pointers \
                            bench_lru_approximation; do
-            echo "=== [$config] perf guard ($guard_bench) ==="
+            banner "perf guard ($guard_bench)"
             guard_file="$guard_dir/$guard_bench.$(uname -n).s"
             guard_log="$dir/perf_guard_$guard_bench.log"
             guard_t0=$(date +%s.%N)
@@ -297,7 +303,7 @@ for config in $configs; do
         # Same ratchet on the whole cold sweep (the first perf smoke
         # above ran cold with engine tracing attached), so the
         # observability layer itself can never quietly tax the sweep.
-        echo "=== [$config] perf guard (cold sweep wall) ==="
+        banner "perf guard (cold sweep wall)"
         sweep_ms=$(grep '"total_wall_ms"' "$dir/BENCH_sweep.json" |
             grep -o '[0-9][0-9]*')
         sweep_guard="$guard_dir/sweep_cold.$(uname -n).ms"

@@ -4,7 +4,7 @@
  * sweep machinery (not the simulated system).
  *
  * PRs 8-9 missed perf targets partly because nothing attributed a
- * sweep's host wall time: was it trace pregen, distill decode,
+ * sweep's host wall time: was it trace generation, distill decode,
  * simulation, or the run cache? EngineTrace records host-time spans
  * around those stages and emits
  *

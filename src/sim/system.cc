@@ -11,7 +11,6 @@
 #include "sim/runner/run_engine.hh"
 #include "sim/runner/span_trace.hh"
 #include "timing/geometry.hh"
-#include "trace/packed_trace.hh"
 #include "trace/profiles.hh"
 
 namespace nurapid {
@@ -71,14 +70,6 @@ System::System(const OrgSpec &org, const WorkloadProfile &profile,
         length.warmup_records + length.measure_records;
     if (total == 0)
         return;
-    // The distiller reads the packed stream from the registry; holding
-    // it here until the distill is done keeps its generation (or .trc
-    // load) under the trace-pregen span.
-    std::shared_ptr<const PackedTrace> packed;
-    {
-        EngineSpan span("trace-pregen", "pregen " + profile.name);
-        packed = sharedPackedTrace(profile, total);
-    }
     // The cuts are the segment boundaries runAll()'s phases stop at;
     // folded counters are exact there, so resetStats() between warmup
     // and measure sees the same state as the reference loop.
@@ -93,6 +84,9 @@ System::System(const OrgSpec &org, const WorkloadProfile &profile,
     dp.bp_entries = coreModel->branchPredictor().entries();
     dp.bp_history_bits = coreModel->branchPredictor().historyBits();
     dp.mshr_block_bytes = coreModel->params().mshr_block_bytes;
+    // The distilled stream is the only one requested: a registry or
+    // .dtc hit never generates or loads the packed stream, and a miss
+    // does so inside this span.
     EngineSpan span("distill-decode", "distill " + profile.name);
     distilled = sharedDistilledTrace(profile, total, cuts, dp);
     dcur = distilled->cursor();

@@ -79,7 +79,7 @@ usage(const char *argv0)
         "                         (default: NURAPID_OBS_INTERVAL or "
         "65536)\n"
         "  --engine-trace-out F   record host-time engine spans (trace\n"
-        "                         pregen, distill decode, run-cache\n"
+        "                         generate/distill, run-cache\n"
         "                         probe/store, per-config simulate)\n"
         "                         into a Chrome trace at F\n"
         "                         (one track per worker thread) and\n"

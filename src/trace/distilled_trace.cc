@@ -4,8 +4,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <list>
-#include <mutex>
 #include <string>
 
 #include <fcntl.h>
@@ -17,6 +15,7 @@
 #include "cpu/branch_predictor.hh"
 #include "sim/profile/profile.hh"
 #include "trace/packed_trace.hh"
+#include "trace/stream_registry.hh"
 
 namespace nurapid {
 
@@ -361,23 +360,10 @@ storeDistilledFile(const DistilledTrace &t, const WorkloadProfile &profile,
         std::remove(tmp.c_str());
 }
 
-struct RegistryEntry
-{
-    std::string key;  //!< full fingerprint key
-    std::shared_ptr<const DistilledTrace> buf;
-    std::mutex gen_mutex;  //!< serializes generation per entry only
-};
-
-struct Registry
-{
-    std::mutex mtx;  //!< guards the entry list, never generation
-    std::list<RegistryEntry> entries;
-};
-
-Registry &
+StreamRegistry<DistilledTrace> &
 registry()
 {
-    static Registry r;
+    static StreamRegistry<DistilledTrace> r;
     return r;
 }
 
@@ -388,61 +374,29 @@ sharedDistilledTrace(const WorkloadProfile &profile, std::uint64_t records,
                      const std::vector<std::uint64_t> &cuts,
                      const DistillParams &params, std::uint64_t seed_mix)
 {
-    const Fingerprint fp =
-        distillFingerprint(profile, seed_mix, records, cuts, params);
-
-    Registry &reg = registry();
-    RegistryEntry *entry = nullptr;
-    {
-        std::lock_guard<std::mutex> lock(reg.mtx);
-        for (RegistryEntry &e : reg.entries) {
-            if (e.key == fp.key()) {
-                entry = &e;
-                break;
-            }
-        }
-        if (!entry) {
-            reg.entries.emplace_back();
-            entry = &reg.entries.back();
-            entry->key = fp.key();
-        }
-    }
-
-    // Distillation happens outside the registry lock so concurrent
-    // workers only serialize against requests for the same stream.
-    std::lock_guard<std::mutex> lock(entry->gen_mutex);
-    if (!entry->buf) {
-        entry->buf =
-            loadDistilledFile(profile, records, cuts, params, seed_mix);
-        if (!entry->buf) {
-            entry->buf = std::make_shared<const DistilledTrace>(
+    const auto fill = [&](std::shared_ptr<const DistilledTrace> &buf) {
+        if (buf)
+            return;
+        buf = loadDistilledFile(profile, records, cuts, params, seed_mix);
+        if (!buf) {
+            buf = std::make_shared<const DistilledTrace>(
                 profile, records, cuts, params, seed_mix);
-            storeDistilledFile(*entry->buf, profile, cuts, params,
-                               seed_mix);
+            storeDistilledFile(*buf, profile, cuts, params, seed_mix);
         }
-    }
-    return entry->buf;
+        // The packed stream's only reader is the distiller: free it
+        // now unless a caller pinned it. Only this workload's entry —
+        // other workers' buffers may still await their distillation.
+        releasePackedTrace(profile, seed_mix);
+    };
+    return registry().get(
+        distillFingerprint(profile, seed_mix, records, cuts, params).key(),
+        fill);
 }
 
 std::size_t
 dropUnusedDistilledTraces()
 {
-    Registry &reg = registry();
-    std::lock_guard<std::mutex> lock(reg.mtx);
-    std::size_t freed = 0;
-    for (auto it = reg.entries.begin(); it != reg.entries.end();) {
-        std::unique_lock<std::mutex> gen_lock(it->gen_mutex,
-                                              std::try_to_lock);
-        if (gen_lock.owns_lock() &&
-            (!it->buf || it->buf.use_count() == 1)) {
-            gen_lock.unlock();
-            it = reg.entries.erase(it);
-            ++freed;
-        } else {
-            ++it;
-        }
-    }
-    return freed;
+    return registry().dropUnused();
 }
 
 } // namespace nurapid

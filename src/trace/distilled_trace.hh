@@ -40,6 +40,12 @@
  * shared process-wide per fingerprint (profile, seed mix, L1 geometry,
  * predictor config, MSHR sector, segment cuts) and persisted to
  * NURAPID_TRACE_CACHE_DIR next to the packed .trc files (mmap-loaded).
+ *
+ * The distilled stream is the System's only stream request, and the
+ * packed stream (trace/packed_trace.hh) is only its input: a registry
+ * or .dtc hit never requests the packed stream, and a miss requests and
+ * distills it. Once the distilled stream exists, that workload's packed
+ * registry entry is released unless a caller still holds the buffer.
  */
 
 #ifndef NURAPID_TRACE_DISTILLED_TRACE_HH
@@ -178,8 +184,10 @@ Fingerprint distillFingerprint(const WorkloadProfile &profile,
 /**
  * Process-wide registry: returns the distilled stream for the given
  * fingerprint, building (or loading from NURAPID_TRACE_CACHE_DIR) at
- * most once per process. Thread-safe; generation for different
- * fingerprints proceeds in parallel.
+ * most once while its entry lives. Thread-safe; generation for
+ * different fingerprints proceeds in parallel. Once the stream exists,
+ * releasePackedTrace(profile, seed_mix) frees the packed input unless
+ * a caller holds it.
  */
 std::shared_ptr<const DistilledTrace>
 sharedDistilledTrace(const WorkloadProfile &profile, std::uint64_t records,

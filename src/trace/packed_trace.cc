@@ -3,10 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <list>
-#include <mutex>
 #include <string>
-#include <utility>
 
 #include <fcntl.h>
 #include <sys/mman.h>
@@ -16,6 +13,7 @@
 #include "common/fingerprint.hh"
 #include "common/logging.hh"
 #include "sim/profile/profile.hh"
+#include "trace/stream_registry.hh"
 
 namespace nurapid {
 
@@ -79,40 +77,6 @@ PackedTrace::generate(std::uint64_t upto)
 }
 
 namespace {
-
-bool
-sameLayers(const std::vector<WorkingSetLayer> &a,
-           const std::vector<WorkingSetLayer> &b)
-{
-    if (a.size() != b.size())
-        return false;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        if (a[i].bytes != b[i].bytes || a[i].weight != b[i].weight ||
-            a[i].segments != b[i].segments ||
-            a[i].colliding_segments != b[i].colliding_segments) {
-            return false;
-        }
-    }
-    return true;
-}
-
-/** Field-for-field equality over everything the generator reads. */
-bool
-sameProfile(const WorkloadProfile &a, const WorkloadProfile &b)
-{
-    return a.name == b.name && a.seed == b.seed &&
-        a.mem_refs_per_kinst == b.mem_refs_per_kinst &&
-        a.store_frac == b.store_frac && a.seq_frac == b.seq_frac &&
-        a.dep_frac == b.dep_frac && a.critical_frac == b.critical_frac &&
-        a.drift_period == b.drift_period &&
-        a.ifetch_refs_per_kinst == b.ifetch_refs_per_kinst &&
-        a.code_bytes == b.code_bytes &&
-        a.branches_per_kinst == b.branches_per_kinst &&
-        a.hard_branch_frac == b.hard_branch_frac &&
-        a.hard_branch_bias == b.hard_branch_bias &&
-        a.footprint_bytes == b.footprint_bytes &&
-        sameLayers(a.layers, b.layers);
-}
 
 // ---------------------------------------------------------------------
 // Cross-process disk cache. A trace file is raw PackedRecords behind a
@@ -302,24 +266,10 @@ storePackedFile(const PackedTrace &trace)
         std::remove(tmp.c_str());
 }
 
-struct RegistryEntry
-{
-    WorkloadProfile profile;
-    std::uint64_t seed_mix = 0;
-    std::shared_ptr<const PackedTrace> buf;
-    std::mutex gen_mutex;  //!< serializes generation per entry only
-};
-
-struct Registry
-{
-    std::mutex mtx;  //!< guards the entry list, never generation
-    std::list<RegistryEntry> entries;
-};
-
-Registry &
+StreamRegistry<PackedTrace> &
 registry()
 {
-    static Registry r;
+    static StreamRegistry<PackedTrace> r;
     return r;
 }
 
@@ -329,70 +279,42 @@ std::shared_ptr<const PackedTrace>
 sharedPackedTrace(const WorkloadProfile &profile, std::uint64_t records,
                   std::uint64_t seed_mix)
 {
-    Registry &reg = registry();
-    RegistryEntry *entry = nullptr;
-    {
-        std::lock_guard<std::mutex> lock(reg.mtx);
-        for (RegistryEntry &e : reg.entries) {
-            if (e.seed_mix == seed_mix &&
-                sameProfile(e.profile, profile)) {
-                entry = &e;
-                break;
+    const auto fill = [&](std::shared_ptr<const PackedTrace> &buf) {
+        if (!buf) {
+            buf = loadPackedFile(profile, records, seed_mix);
+            if (!buf) {
+                buf = std::make_shared<const PackedTrace>(
+                    profile, records, seed_mix);
+                storePackedFile(*buf);
             }
+        } else if (buf->size() < records) {
+            // A loaded buffer carries no generator state past its end,
+            // so it cannot be extended in place — regenerate from
+            // scratch and replace the too-short file.
+            if (buf->extendable()) {
+                buf = std::make_shared<const PackedTrace>(*buf, records);
+            } else {
+                buf = std::make_shared<const PackedTrace>(
+                    profile, records, seed_mix);
+            }
+            storePackedFile(*buf);
         }
-        if (!entry) {
-            reg.entries.emplace_back();
-            entry = &reg.entries.back();
-            entry->profile = profile;
-            entry->seed_mix = seed_mix;
-        }
-    }
-
-    // Generation happens outside the registry lock so concurrent
-    // workers only serialize against requests for the same workload.
-    std::lock_guard<std::mutex> lock(entry->gen_mutex);
-    if (!entry->buf) {
-        entry->buf = loadPackedFile(profile, records, seed_mix);
-        if (!entry->buf) {
-            entry->buf = std::make_shared<const PackedTrace>(
-                profile, records, seed_mix);
-            storePackedFile(*entry->buf);
-        }
-    } else if (entry->buf->size() < records) {
-        // A loaded buffer carries no generator state past its end, so
-        // it cannot be extended in place — regenerate from scratch and
-        // replace the too-short file.
-        if (entry->buf->extendable()) {
-            entry->buf = std::make_shared<const PackedTrace>(
-                *entry->buf, records);
-        } else {
-            entry->buf = std::make_shared<const PackedTrace>(
-                profile, records, seed_mix);
-        }
-        storePackedFile(*entry->buf);
-    }
-    return entry->buf;
+    };
+    return registry().get(packedTraceFingerprint(profile, seed_mix).key(),
+                          fill);
 }
 
 std::size_t
 dropUnusedPackedTraces()
 {
-    Registry &reg = registry();
-    std::lock_guard<std::mutex> lock(reg.mtx);
-    std::size_t freed = 0;
-    for (auto it = reg.entries.begin(); it != reg.entries.end();) {
-        std::unique_lock<std::mutex> gen_lock(it->gen_mutex,
-                                              std::try_to_lock);
-        if (gen_lock.owns_lock() &&
-            (!it->buf || it->buf.use_count() == 1)) {
-            gen_lock.unlock();
-            it = reg.entries.erase(it);
-            ++freed;
-        } else {
-            ++it;
-        }
-    }
-    return freed;
+    return registry().dropUnused();
+}
+
+bool
+releasePackedTrace(const WorkloadProfile &profile, std::uint64_t seed_mix)
+{
+    return registry().release(
+        packedTraceFingerprint(profile, seed_mix).key());
 }
 
 } // namespace nurapid

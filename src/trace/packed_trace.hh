@@ -11,13 +11,11 @@
  *
  * PackedTrace generates a stream once into a flat 16-byte-per-record
  * buffer; Cursor replays it with a non-virtual, fully-inlinable
- * next(). sharedPackedTrace() memoizes buffers per (profile, seed mix)
- * for the life of the process so every run of the same workload —
- * including the RunEngine's concurrent workers — shares one read-only
- * buffer. Replay is record-for-record identical to SyntheticTrace
- * (asserted by tests/test_packed_trace.cc). The buffer is what the
- * distiller (trace/distilled_trace.hh) reads; the System replays the
- * distilled stream, not the packed records themselves.
+ * next(). Replay is record-for-record identical to SyntheticTrace
+ * (asserted by tests/test_packed_trace.cc). The buffer is the input of
+ * the distiller (trace/distilled_trace.hh) and nothing else: the System
+ * replays the distilled stream, and asks for it alone, so a packed
+ * buffer lives only while a distillation needs it.
  */
 
 #ifndef NURAPID_TRACE_PACKED_TRACE_HH
@@ -154,9 +152,11 @@ class PackedTrace
 /**
  * Process-wide buffer registry: returns a packed stream of at least
  * @p records for (profile, seed_mix), generating or extending at most
- * once per process. Thread-safe; concurrent requests for different
- * workloads generate in parallel. Buffers live for the process (the
- * full 15-workload suite at default lengths is < 1 GB).
+ * once while its entry lives. Thread-safe; concurrent requests for
+ * different workloads generate in parallel. sharedDistilledTrace()
+ * releases the entry once its distilled stream exists (64 MB per
+ * workload at default lengths), so a buffer outlives its distillation
+ * only while a caller holds it.
  *
  * When NURAPID_TRACE_CACHE_DIR names a directory, generated buffers
  * are additionally persisted there and later processes load instead of
@@ -172,6 +172,11 @@ sharedPackedTrace(const WorkloadProfile &profile, std::uint64_t records,
 
 /** Drops registry entries no one else holds; returns entries freed. */
 std::size_t dropUnusedPackedTraces();
+
+/** Drops (profile, seed_mix)'s registry entry unless a caller still
+ *  holds its buffer or is requesting it; true when it was dropped. */
+bool releasePackedTrace(const WorkloadProfile &profile,
+                        std::uint64_t seed_mix);
 
 /** Canonical fingerprint of (generator version, profile, seed mix) —
  *  the disk-cache key of a packed stream, also embedded in derived
