@@ -6,8 +6,13 @@
 #
 # Usage:
 #   scripts/regen_bench.sh [BUILD_DIR] [--jobs N] [--repeat N]
-#                          [--no-cache] [--quiet]
+#                          [--no-cache] [--quiet] [--publish]
 #                          [--engine-trace-out FILE]
+#
+# --publish copies the sweep's timing summary over the tracked
+# repo-root BENCH_sweep.json (full-scale sweeps only). Without it a
+# sweep writes only BUILD_DIR/BENCH_sweep.json, so verification sweeps
+# never dirty the tree with one host's timings.
 #
 # --engine-trace-out FILE records host-time engine spans (trace
 # generate/distill, run-cache probe/store, per-config
@@ -46,6 +51,7 @@ set -eu
 
 build_dir=build
 quiet=0
+publish=0
 repeat=3
 while [ $# -gt 0 ]; do
     case "$1" in
@@ -61,8 +67,10 @@ while [ $# -gt 0 ]; do
         rm -f "$NURAPID_ENGINE_TRACE"; shift 2 ;;
       --quiet)
         quiet=1; shift ;;
+      --publish)
+        publish=1; shift ;;
       -h|--help)
-        sed -n '2,41p' "$0" | sed 's/^# \{0,1\}//'; exit 0 ;;
+        sed -n '2,46p' "$0" | sed 's/^# \{0,1\}//'; exit 0 ;;
       *)
         build_dir="$1"; shift ;;
     esac
@@ -172,11 +180,11 @@ cat > "$sweep_json" <<EOF
 }
 EOF
 
-# Track the perf trajectory across PRs: a full-scale sweep's timing
-# summary is copied to the repo root (checked in). Scaled-down smokes
-# (check.sh runs with NURAPID_SIM_SCALE=0.05) stay in the build dir so
-# they never clobber the tracked numbers.
-if [ "${NURAPID_SIM_SCALE:-1}" = "1" ]; then
+# Track the perf trajectory: with --publish, a full-scale sweep's
+# timing summary is copied to the repo root (checked in). Scaled-down
+# smokes (check.sh runs with NURAPID_SIM_SCALE=0.05) stay in the build
+# dir even then, so they never clobber the tracked numbers.
+if [ "$publish" -eq 1 ] && [ "${NURAPID_SIM_SCALE:-1}" = "1" ]; then
     repo_root=$(cd "$(dirname "$0")/.." && pwd)
     cp "$sweep_json" "$repo_root/BENCH_sweep.json"
     echo "regen-bench: timings copied to $repo_root/BENCH_sweep.json"

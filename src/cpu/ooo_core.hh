@@ -158,8 +158,8 @@ class OooCore
 
     /** Retires completed loads; stalls dispatch when the oldest
      *  pending load is a full RUU behind the dispatch point. Inline:
-     *  runs once per record, usually hitting the empty/young-front
-     *  early exit. */
+     *  the reference loop runs it once per record; the distilled replay
+     *  once per event and wherever an inert run reaches windowLimit(). */
     void
     enforceWindow()
     {
@@ -181,6 +181,21 @@ class OooCore
             break;
         }
     }
+
+    /** Instruction index at which enforceWindow() can next stall
+     *  dispatch: the oldest pending load's slot plus a full RUU. */
+    std::uint64_t
+    windowLimit() const
+    {
+        return pendingLoads.empty()
+            ? UINT64_MAX
+            : pendingLoads.front().inst + p.ruu_entries;
+    }
+
+    /** Replays the inert records [k, end) of a distilled stream;
+     *  returns the folded mispredicts among them. */
+    std::uint32_t walkInert(const std::uint8_t *gaps, std::uint64_t k,
+                            std::uint64_t end);
 
     template <class LowerT>
     Cycles missLatency(LowerT &lower_mem, Addr addr, AccessType type,
@@ -320,6 +335,57 @@ OooCore::missPath(LowerT &lower_mem, Addr addr, bool store, bool ifetch,
     }
 }
 
+inline std::uint32_t
+OooCore::walkInert(const std::uint8_t *gaps, std::uint64_t k,
+                   std::uint64_t end)
+{
+    // All L1 hits with no stall of any kind: only the dispatch clock,
+    // the instruction indices, the window and the epoch clock advance.
+    // Per record the clock adds the gap, then the folded mispredict's
+    // penalty (adding 0.0 is exact), in the live loop's FP order.
+    using DT = DistilledTrace;
+    const double penalty[2] = {0.0,
+                               static_cast<double>(p.mispredict_penalty)};
+    std::uint32_t mispredicts = 0;
+    while (k < end) {
+        // An observed run ends the batch on the next epoch boundary, so
+        // the snapshot there sees the clock after exactly that record.
+        const std::uint64_t batch_end = obsRec
+            ? std::min(end, k + obsRec->ticksToBoundary())
+            : end;
+        const std::uint64_t batch = batch_end - k;
+        const std::uint64_t start = instIndex;
+        double c = cycleF;
+        std::uint64_t ii = instIndex;
+        // Below windowLimit() enforceWindow() can only pop completed
+        // loads, never move the clock. Those pops are deferred to the
+        // next call, which makes them against a later clock: the same
+        // pops, since the completed prefix only grows.
+        std::uint64_t limit = windowLimit();
+        for (; k < batch_end; ++k) {
+            const unsigned g = gaps[k];
+            const unsigned n = (g & DT::kGapMask) + 1;
+            ii += n;
+            c += n * dispatchCpi;
+            c += penalty[g >> 7];
+            mispredicts += g >> 7;
+            if (ii >= limit) [[unlikely]] {
+                cycleF = c;
+                instIndex = ii;
+                enforceWindow();
+                c = cycleF;
+                limit = windowLimit();
+            }
+        }
+        cycleF = c;
+        instIndex = ii;
+        insts += ii - start;
+        if (obsRec) [[unlikely]]
+            obsRec->tick(batch);
+    }
+    return mispredicts;
+}
+
 template <class LowerT>
 void
 OooCore::runDistilled(LowerT &lower_mem, DistilledTrace::Cursor &cur,
@@ -327,7 +393,6 @@ OooCore::runDistilled(LowerT &lower_mem, DistilledTrace::Cursor &cur,
 {
     using DT = DistilledTrace;
     const std::uint64_t stop = cur.pos + records;
-    const std::uint16_t *const gaps = cur.gaps;
 
     while (cur.pos < stop) {
         panic_if(cur.ev == cur.ev_end,
@@ -346,19 +411,9 @@ OooCore::runDistilled(LowerT &lower_mem, DistilledTrace::Cursor &cur,
                  "distilled event past the stop record — replay must "
                  "end on one of the stream's cuts");
 
-        // Inert records [cur.pos, erec): all L1 hits with correctly
-        // predicted branches and no stall of any kind. Only the
-        // dispatch clock (whose per-record FP addition order must be
-        // preserved), the instruction indices, and the window walk
-        // advance; the L1 tag/LRU walk and predictor tables fold away.
-        for (std::uint64_t k = cur.pos; k < erec; ++k) {
-            insts += gaps[k] + 1;
-            instIndex += gaps[k] + 1;
-            cycleF += (gaps[k] + 1) * dispatchCpi;
-            enforceWindow();
-            if (obsRec) [[unlikely]]
-                obsRec->tick();
-        }
+        // Inert records [cur.pos, erec): the L1 tag/LRU walk and the
+        // predictor tables fold away into counter deltas.
+        const std::uint32_t folded_mp = walkInert(cur.gaps, cur.pos, erec);
         const auto inert = static_cast<std::uint32_t>(erec - cur.pos);
         cur.pos = erec + 1;
 
@@ -366,13 +421,13 @@ OooCore::runDistilled(LowerT &lower_mem, DistilledTrace::Cursor &cur,
         statL1DAccesses += inert - e.d_l1i;
         l1i.foldStats(e.d_l1i, 0, 0, 0);
         l1d.foldStats(inert - e.d_l1i, 0, 0, 0);
-        bpred.foldStats(e.d_bp_pred, 0);
+        bpred.foldStats(e.d_bp_pred + folded_mp, folded_mp);
 
         // The event record itself, replayed in live-loop order.
         const std::uint16_t f = e.flags;
-        insts += gaps[erec] + 1;
-        instIndex += gaps[erec] + 1;
-        cycleF += (gaps[erec] + 1) * dispatchCpi;
+        insts += e.gap + 1;
+        instIndex += e.gap + 1;
+        cycleF += (e.gap + 1) * dispatchCpi;
 
         if (f & DT::kHasBranch) {
             bpred.foldStats(1, (f & DT::kMispredict) ? 1 : 0);

@@ -24,11 +24,13 @@
  *    and hit share, average/percentile access latency, demotion
  *    rate). Epochs are reference-count windows (default 64K refs,
  *    NURAPID_OBS_INTERVAL); the core ticks the recorder once per
- *    retired reference in the reference loop (OooCore::run) and
- *    runDistilled alike. Snapshots are restricted to values that are
- *    per-record exact in both loops (cycles, instructions,
- *    organization counters, region hits, occupancy), so the timeline
- *    too is bit-identical live vs distilled.
+ *    retired reference in the reference loop (OooCore::run), and
+ *    runDistilled ticks its inert runs in batches that end on epoch
+ *    boundaries, so both snapshot after the same record. Snapshots
+ *    are restricted to values that are per-record exact in both loops
+ *    (cycles, instructions, organization counters, region hits,
+ *    occupancy), so the timeline too is bit-identical live vs
+ *    distilled.
  *
  *    Snapshots also sample the organization's cumulative
  *    EnergyBreakdown accumulators (plus off-chip energy), giving the
@@ -284,17 +286,23 @@ class IntervalRecorder
     /** Snapshot the baseline; call at measurement start. */
     void begin();
 
-    /** One retired reference. Inline countdown: the common case is a
-     *  decrement and a not-taken branch. */
+    /** @p n retired references (one by default). Inline countdown:
+     *  the common case is a subtraction and a not-taken branch. The
+     *  batch must not cross a boundary (n <= ticksToBoundary()), so a
+     *  snapshot can only land after its last reference. */
     void
-    tick()
+    tick(std::uint64_t n = 1)
     {
-        ++refCount;
-        if (--countdown == 0) [[unlikely]] {
+        refCount += n;
+        countdown -= n;
+        if (countdown == 0) [[unlikely]] {
             countdown = epochInterval;
             takeSnapshot();
         }
     }
+
+    /** References until the next epoch boundary (at least 1). */
+    std::uint64_t ticksToBoundary() const { return countdown; }
 
     /** Snapshot the final partial epoch (no-op when the run ended
      *  exactly on a boundary or nothing ticked since). Idempotent. */

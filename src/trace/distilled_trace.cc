@@ -57,9 +57,10 @@ DistilledTrace::DistilledTrace(const WorkloadProfile &profile,
     BranchPredictor bpred(params.bp_entries, params.bp_history_bits);
 
     gap_buf.resize(records);
-    // The event rate is the L1 miss rate plus mispredicts and
-    // dep-check points — reserve for a generous 25% and let the vector
-    // grow in the rare workloads beyond that.
+    // The event rate is the L1 miss rate plus dep-check points, cuts
+    // and escapes (up to ~18% on the paper's workloads) — reserve a
+    // generous 25%, whose untouched tail never becomes resident, and
+    // let the vector grow in the rare workloads beyond that.
     event_buf.reserve(records / 4);
 
     PackedTrace::Cursor cur = packed->cursor(records);
@@ -72,13 +73,12 @@ DistilledTrace::DistilledTrace(const WorkloadProfile &profile,
     for (std::uint64_t k = 0; k < records; ++k) {
         const bool got = cur.next(r);
         panic_if(!got, "packed stream ended mid-distillation");
-        gap_buf[k] = r.inst_gap;
 
         std::uint16_t flags = 0;
-        if (r.has_branch &&
-            !bpred.predictAndUpdate(r.branch_pc, r.branch_taken)) {
+        const bool mispredict = r.has_branch &&
+            !bpred.predictAndUpdate(r.branch_pc, r.branch_taken);
+        if (mispredict)
             flags |= kMispredict;
-        }
 
         const bool ifetch = r.op == TraceOp::Ifetch;
         const bool store = r.op == TraceOp::Store;
@@ -105,9 +105,13 @@ DistilledTrace::DistilledTrace(const WorkloadProfile &profile,
         if (at_cut)
             ++next_cut;
 
-        if (flags == 0 && !at_cut) {
-            // Inert L1 hit: fold into the running deltas.
-            if (r.has_branch)
+        if ((flags & ~kMispredict) == 0 && !at_cut &&
+            r.inst_gap <= kGapMask) {
+            // Inert L1 hit: fold into the running deltas; a mispredict
+            // rides in the record byte.
+            gap_buf[k] = static_cast<std::uint8_t>(
+                r.inst_gap | (mispredict ? kGapMispredict : 0));
+            if (r.has_branch && !mispredict)
                 ++acc_bp_pred;
             if (ifetch)
                 ++acc_l1i;
@@ -118,6 +122,7 @@ DistilledTrace::DistilledTrace(const WorkloadProfile &profile,
         e.addr = r.addr;
         e.evicted_addr = a.evicted_addr;
         e.rec = static_cast<std::uint32_t>(k);
+        e.gap = r.inst_gap;
         e.flags = static_cast<std::uint16_t>(
             flags | (ifetch ? kIfetch : 0) | (store ? kStore : 0) |
             (r.has_branch ? kHasBranch : 0) |
@@ -142,7 +147,7 @@ DistilledTrace::DistilledTrace(const WorkloadProfile &, std::uint64_t,
                                std::size_t events_offset,
                                std::uint64_t records,
                                std::uint64_t event_count)
-    : gaps_(reinterpret_cast<const std::uint16_t *>(
+    : gaps_(reinterpret_cast<const std::uint8_t *>(
           static_cast<const char *>(base) + gaps_offset)),
       events_(reinterpret_cast<const Event *>(
           static_cast<const char *>(base) + events_offset)),
@@ -172,7 +177,7 @@ distillFingerprint(const WorkloadProfile &profile, std::uint64_t seed_mix,
 {
     // Format version: bump whenever the event layout or fold semantics
     // change, so stale .dtc files can never replay the old scheme.
-    constexpr std::uint64_t kDistillFormatVersion = 1;
+    constexpr std::uint64_t kDistillFormatVersion = 2;
 
     Fingerprint fp;
     fp.field("distill_format", kDistillFormatVersion);
@@ -290,10 +295,12 @@ loadDistilledFile(const WorkloadProfile &profile, std::uint64_t records,
     std::size_t eoff = 0;
     if (ok) {
         goff = gapsOffset(hdr.key_bytes);
-        eoff = alignUp16(goff + static_cast<std::size_t>(records) *
-                                    sizeof(std::uint16_t));
-        ok = len >= eoff + hdr.event_count *
-                 sizeof(DistilledTrace::Event) &&
+        eoff = alignUp16(goff + static_cast<std::size_t>(records));
+        // A file cut short (or a header claiming more events than it
+        // holds) is rejected, never read past its end.
+        ok = len >= eoff &&
+            hdr.event_count <=
+                (len - eoff) / sizeof(DistilledTrace::Event) &&
             // The stored key must match byte for byte — the digest in
             // the file name already matched, this guards collisions.
             std::memcmp(static_cast<const char *>(base) + sizeof(hdr),
@@ -338,8 +345,7 @@ storeDistilledFile(const DistilledTrace &t, const WorkloadProfile &profile,
 
     const char pad[16] = {};
     const std::size_t goff = gapsOffset(hdr.key_bytes);
-    const std::size_t gap_bytes =
-        static_cast<std::size_t>(t.size()) * sizeof(std::uint16_t);
+    const std::size_t gap_bytes = static_cast<std::size_t>(t.size());
     const std::size_t head_pad = goff - sizeof(hdr) - fp.key().size();
     const std::size_t mid_pad = alignUp16(goff + gap_bytes) -
         (goff + gap_bytes);
@@ -347,8 +353,7 @@ storeDistilledFile(const DistilledTrace &t, const WorkloadProfile &profile,
         std::fwrite(fp.key().data(), 1, fp.key().size(), f) ==
             fp.key().size() &&
         std::fwrite(pad, 1, head_pad, f) == head_pad &&
-        std::fwrite(t.gapData(), sizeof(std::uint16_t), t.size(), f) ==
-            t.size() &&
+        std::fwrite(t.gapData(), 1, gap_bytes, f) == gap_bytes &&
         std::fwrite(pad, 1, mid_pad, f) == mid_pad &&
         std::fwrite(t.eventData(), sizeof(DistilledTrace::Event),
                     t.eventCount(), f) == t.eventCount();

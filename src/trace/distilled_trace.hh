@@ -12,19 +12,26 @@
  * mispredicts and the first dependent load after each deep miss) differ
  * in effect between organizations.
  *
- * DistilledTrace stores that shared prefix as:
+ * DistilledTrace stores that shared prefix as (format version 2):
  *
- *  - a per-record array of inst_gap values (2 B/record — the dispatch
- *    clock is a running double, so the replay must reproduce the exact
- *    per-record addition order; everything else about inert L1-hit
- *    records folds away), and
+ *  - a per-record byte stream, 1 B/record: bits 0-6 hold an inert
+ *    record's inst_gap, bit 7 (kGapMispredict) marks a mispredicted
+ *    branch. The dispatch clock is a running double, so the replay must
+ *    reproduce the exact per-record addition order — gap, then the
+ *    mispredict penalty; everything else about inert L1-hit records
+ *    folds away. An event record's byte is zero (its gap lives in the
+ *    Event), and
  *  - a sparse, ordered array of Events: one per record whose replay
- *    touches org-dependent state (L1 miss, dirty writeback, branch
- *    mispredict, dependent-load stall point) or that closes a
- *    warmup/measure segment. Each event carries the counter deltas
- *    (inert ifetch count, correct branch predictions) accumulated over
- *    the inert records since the previous event, so statistics stay
- *    bit-identical without touching the L1 or predictor tables.
+ *    touches org-dependent state (L1 miss, dirty writeback, dependent-
+ *    load stall point), that closes a warmup/measure segment, or whose
+ *    inst_gap does not fit in 7 bits (an *escape*: gap > kGapMask).
+ *    A bare mispredict — no L1 miss, no dependence check, no cut, no
+ *    escape — is not an event: it only adds the penalty to the clock,
+ *    which the byte's bit 7 carries. Each event carries the counter
+ *    deltas (inert ifetch count, correct branch predictions)
+ *    accumulated over the inert records since the previous event, so
+ *    statistics stay bit-identical without touching the L1 or
+ *    predictor tables; the replay counts folded mispredicts itself.
  *
  * Only the *first* dependent load after each deep-load event needs an
  * event: the dependence stall fires at most once per
@@ -92,6 +99,11 @@ class DistilledTrace
     static constexpr std::uint16_t kWriteback = 1u << 7;
     static constexpr std::uint16_t kLatencyCritical = 1u << 8;
 
+    // Per-record byte layout: inst_gap in the low 7 bits, folded
+    // mispredict in the top bit.
+    static constexpr std::uint8_t kGapMask = 0x7f;
+    static constexpr std::uint8_t kGapMispredict = 0x80;
+
     /** One L2-relevant record, 32 bytes. */
     struct Event
     {
@@ -99,10 +111,11 @@ class DistilledTrace
         Addr evicted_addr = 0;  //!< dirty L1 victim (kWriteback events)
         std::uint32_t rec = 0;  //!< absolute record index of the event
         std::uint16_t flags = 0;
-        std::uint16_t pad = 0;
+        std::uint16_t gap = 0;  //!< the event record's own inst_gap
         /** Correct branch predictions on the inert records strictly
          *  between the previous event and this one (the event record's
-         *  own branch is described by kHasBranch/kMispredict). */
+         *  own branch is described by kHasBranch/kMispredict; folded
+         *  mispredicts are marked in the record bytes). */
         std::uint32_t d_bp_pred = 0;
         /** Ifetch references among those inert records (the rest are
          *  data references; all inert records are L1 hits). */
@@ -114,7 +127,7 @@ class DistilledTrace
      *  advances the fields directly. */
     struct Cursor
     {
-        const std::uint16_t *gaps = nullptr;
+        const std::uint8_t *gaps = nullptr;
         const Event *ev = nullptr;
         const Event *ev_end = nullptr;
         std::uint64_t pos = 0;  //!< next record index to replay
@@ -151,7 +164,7 @@ class DistilledTrace
     /** False for streams adopted from the disk cache. */
     bool fromFile() const { return map_base != nullptr; }
 
-    const std::uint16_t *gapData() const { return gaps_; }
+    const std::uint8_t *gapData() const { return gaps_; }
     const Event *eventData() const { return events_; }
 
     Cursor
@@ -161,9 +174,9 @@ class DistilledTrace
     }
 
   private:
-    std::vector<std::uint16_t> gap_buf;
+    std::vector<std::uint8_t> gap_buf;
     std::vector<Event> event_buf;
-    const std::uint16_t *gaps_ = nullptr;
+    const std::uint8_t *gaps_ = nullptr;
     const Event *events_ = nullptr;
     std::uint64_t nrecs = 0;
     std::uint64_t nevents = 0;

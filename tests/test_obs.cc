@@ -77,13 +77,14 @@ struct ObsRun
  *  @p reference, the live per-record loop (runAllReference). */
 ObsRun
 observedRun(const OrgSpec &org, const WorkloadProfile &prof,
-            const SimLength &len, bool reference = false)
+            const SimLength &len, bool reference = false,
+            std::uint64_t interval = 4096)
 {
     System sys(org, prof, len);
     ObsConfig cfg;
     cfg.record_events = true;
     cfg.record_metrics = true;
-    cfg.interval = 4096;
+    cfg.interval = interval;
     sys.enableObservability(cfg);
     if (reference)
         sys.runAllReference();
@@ -150,6 +151,28 @@ TEST(Obs, EventStreamIdenticalLiveVsDistilledDNuca)
     const ObsRun dist = observedRun(org, prof, len);
     ASSERT_GT(live.events.size(), 0u);
     expectSameEventStream(live, dist, "dnuca/art");
+}
+
+// A 7-reference epoch puts boundaries inside nearly every inert run,
+// so the distilled replay's batched inert walk must stop on each one
+// with the clock, counters and event stream the live loop has there.
+TEST(Obs, EpochBoundariesInsideInertRunsMatchLiveLoop)
+{
+    const SimLength len{5'000, 15'000};
+    const struct
+    {
+        OrgSpec org;
+        const char *workload;
+    } cases[] = {{OrgSpec::nurapidDefault(), "mcf"},
+                 {OrgSpec::baseline(), "applu"}};
+    for (const auto &c : cases) {
+        const WorkloadProfile prof = findProfile(c.workload);
+        const ObsRun live = observedRun(c.org, prof, len, true, 7);
+        const ObsRun dist = observedRun(c.org, prof, len, false, 7);
+        ASSERT_GT(live.timeline.size(), 2'000u);
+        expectSameEventStream(live, dist,
+                              c.org.description() + "/" + c.workload);
+    }
 }
 
 TEST(Obs, TimelineConservesCounters)

@@ -22,6 +22,7 @@
 
 #include "sim/runner/run_cache.hh"
 #include "sim/system.hh"
+#include "trace/distilled_trace.hh"
 #include "trace/profiles.hh"
 
 namespace nurapid {
@@ -100,9 +101,10 @@ struct Observed
 
 Observed
 observe(const OrgSpec &org, const WorkloadProfile &prof,
-        const SimLength &len, bool reference)
+        const SimLength &len, bool reference,
+        const CoreParams &core = defaultCoreParams())
 {
-    System sys(org, prof, len);
+    System sys(org, prof, len, core);
     Observed o;
     o.metrics = reference ? sys.runAllReference() : sys.runAll();
     o.core_stats = sys.core().stats().dump();
@@ -113,6 +115,30 @@ observe(const OrgSpec &org, const WorkloadProfile &prof,
     return o;
 }
 
+/** Runs @p prof on @p org through both loops and expects bit-identity
+ *  of the metrics and of every folded statistic. */
+void
+expectReplayMatchesReference(const OrgSpec &org,
+                             const WorkloadProfile &prof,
+                             const SimLength &len,
+                             const CoreParams &core = defaultCoreParams())
+{
+    const std::string what = prof.name + " / " + org.description();
+    const Observed ref = observe(org, prof, len, true, core);
+    const Observed dist = observe(org, prof, len, false, core);
+    EXPECT_TRUE(identicalMetrics(ref.metrics, dist.metrics))
+        << what << ": metrics diverged (ipc " << ref.metrics.ipc
+        << " vs " << dist.metrics.ipc << ", cycles "
+        << ref.metrics.cycles << " vs " << dist.metrics.cycles << ")";
+    EXPECT_EQ(ref.core_stats, dist.core_stats) << what;
+    EXPECT_EQ(ref.l1i_stats, dist.l1i_stats) << what;
+    EXPECT_EQ(ref.l1d_stats, dist.l1d_stats) << what;
+    EXPECT_EQ(ref.bpred_stats, dist.bpred_stats) << what;
+    EXPECT_EQ(ref.lower_stats, dist.lower_stats) << what;
+    EXPECT_GT(dist.metrics.instructions, 0u) << what;
+    EXPECT_GT(dist.metrics.l2_demand, 0u) << what;
+}
+
 class ReferenceIdentity : public ::testing::TestWithParam<SweepOrg>
 {
 };
@@ -120,28 +146,63 @@ class ReferenceIdentity : public ::testing::TestWithParam<SweepOrg>
 TEST_P(ReferenceIdentity, RunAllMatchesReferenceOnEveryWorkload)
 {
     const SimLength len{6'000, 18'000};
-    const OrgSpec &org = GetParam().spec;
-    for (const WorkloadProfile &prof : workloadSuite()) {
-        const std::string what = prof.name + " / " + org.description();
-        const Observed ref = observe(org, prof, len, true);
-        const Observed dist = observe(org, prof, len, false);
-        EXPECT_TRUE(identicalMetrics(ref.metrics, dist.metrics))
-            << what << ": metrics diverged (ipc " << ref.metrics.ipc
-            << " vs " << dist.metrics.ipc << ", cycles "
-            << ref.metrics.cycles << " vs " << dist.metrics.cycles
-            << ")";
-        EXPECT_EQ(ref.core_stats, dist.core_stats) << what;
-        EXPECT_EQ(ref.l1i_stats, dist.l1i_stats) << what;
-        EXPECT_EQ(ref.l1d_stats, dist.l1d_stats) << what;
-        EXPECT_EQ(ref.bpred_stats, dist.bpred_stats) << what;
-        EXPECT_EQ(ref.lower_stats, dist.lower_stats) << what;
-        EXPECT_GT(dist.metrics.instructions, 0u) << what;
-        EXPECT_GT(dist.metrics.l2_demand, 0u) << what;
-    }
+    for (const WorkloadProfile &prof : workloadSuite())
+        expectReplayMatchesReference(GetParam().spec, prof, len);
 }
 
 INSTANTIATE_TEST_SUITE_P(SweepOrgs, ReferenceIdentity,
                          ::testing::ValuesIn(sweepOrgs()));
+
+// The sweep's workloads all have gaps far below 128, so they never
+// exercise the escape rule: a record whose inst_gap does not fit the
+// 7-bit record byte must become an event carrying its own gap.
+TEST(DistilledExactness, GapsBeyondSevenBitsEscapeToEvents)
+{
+    WorkloadProfile prof = findProfile("mcf");
+    prof.name = "mcf_sparse";
+    // Mean gap 125 instructions, drawn uniformly from [62, 187]: about
+    // half the records escape, the rest fold. Branch and ifetch rates
+    // are rescaled to stay per-record probabilities below 1.
+    prof.mem_refs_per_kinst = 8.0;
+    prof.branches_per_kinst = 4.0;
+    prof.ifetch_refs_per_kinst = 0.4;
+    const SimLength len{4'000, 12'000};
+
+    DistillParams dp;
+    dp.l1i = l1iOrg();
+    dp.l1d = l1dOrg();
+    const auto t = sharedDistilledTrace(prof, 16'000, {4'000, 16'000}, dp);
+    std::uint64_t escapes = 0;
+    for (std::uint64_t i = 0; i < t->eventCount(); ++i)
+        escapes += t->eventData()[i].gap > DistilledTrace::kGapMask;
+    std::uint64_t folded = 0;
+    for (std::uint64_t k = 0; k < t->size(); ++k)
+        folded += (t->gapData()[k] & DistilledTrace::kGapMask) != 0;
+    EXPECT_GT(escapes, 1'000u) << "profile does not exercise escapes";
+    EXPECT_GT(folded, 1'000u) << "profile folds no inert records";
+
+    for (const OrgSpec &org :
+         {OrgSpec::baseline(), OrgSpec::nurapidDefault()})
+        expectReplayMatchesReference(org, prof, len);
+}
+
+// A tiny window, few MSHRs, a short LSQ and a long mispredict penalty
+// make ROB, MSHR and LSQ stalls (and penalty-carrying inert runs) far
+// denser than the Table 1 machine does.
+TEST(DistilledExactness, StressedCoreParamsMatchReference)
+{
+    CoreParams core = defaultCoreParams();
+    core.ruu_entries = 8;
+    core.mshrs = 2;
+    core.lsq_entries = 4;
+    core.mispredict_penalty = 40;
+    const SimLength len{4'000, 12'000};
+    for (const OrgSpec &org :
+         {OrgSpec::baseline(), OrgSpec::nurapidDefault()}) {
+        for (const WorkloadProfile &prof : workloadSuite())
+            expectReplayMatchesReference(org, prof, len, core);
+    }
+}
 
 TEST(SweepOrgList, HoldsTwentyDistinctSpecs)
 {
