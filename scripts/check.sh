@@ -12,7 +12,8 @@
 #            stage: a short cold sweep (engine-span tracing attached,
 #            footer coverage asserted) that must print the profiler
 #            footer with non-zero distill and recency buckets,
-#            finish with a populated 267-entry run cache, and stay
+#            finish with a populated 267-entry run cache, leave no
+#            packed .trc stream in its trace cache, and stay
 #            within 25% of this host's recorded wall-time baselines
 #            (per-bench and whole-sweep)
 #
@@ -229,6 +230,16 @@ for config in $configs; do
                                        s += v } }
                 END { printf "%.3f", s }'
         }
+        # The trace cache holds distilled .dtc streams only: a .trc
+        # there means a packed stream was written again.
+        trc_count=$(find "$dir/trace_cache" -name '*.trc' | wc -l)
+        echo "perf smoke: trace cache $(du -sb "$dir/trace_cache" |
+            cut -f1) bytes, $trc_count .trc files"
+        [ "$trc_count" -eq 0 ] || {
+            echo "perf smoke: trace cache holds .trc files" >&2
+            exit 1
+        }
+
         # Distillation must show up in the sweep's profile.
         distill_s=$(bucket_sum "$smoke_log" distill)
         recency_s=$(bucket_sum "$smoke_log" recency)

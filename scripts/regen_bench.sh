@@ -32,12 +32,12 @@
 #   NURAPID_JOBS             worker threads per binary (default: all cores)
 #   NURAPID_RUN_CACHE        cache file (default: BUILD_DIR/bench_run_cache.json)
 #   NURAPID_SIM_SCALE        simulation length scale
-#   NURAPID_TRACE_CACHE_DIR  trace disk cache shared by the 17 binaries
-#                            (default: BUILD_DIR/trace_cache): packed
-#                            .trc streams and distilled .dtc event
-#                            streams, so each workload is generated and
-#                            distilled once per sweep, not once per
-#                            binary
+#   NURAPID_TRACE_CACHE_DIR  distilled .dtc cache shared by the 17
+#                            binaries (default: BUILD_DIR/trace_cache),
+#                            so each workload is generated and distilled
+#                            (one pass) once per sweep, not once per
+#                            binary; packed .trc files that older
+#                            builds left there are deleted
 #
 # Besides the per-table stdout, the sweep writes BUILD_DIR/BENCH_sweep.json
 # with machine-readable timings: per-binary and total wall milliseconds,
@@ -100,6 +100,9 @@ echo "jobs per binary: ${NURAPID_JOBS:-auto}"
 NURAPID_TRACE_CACHE_DIR="${NURAPID_TRACE_CACHE_DIR:-$build_dir/trace_cache}"
 export NURAPID_TRACE_CACHE_DIR
 mkdir -p "$NURAPID_TRACE_CACHE_DIR"
+# Nothing reads packed .trc streams any more (the distiller generates
+# its input itself); drop the ~64 MB per workload older sweeps left.
+rm -f "$NURAPID_TRACE_CACHE_DIR"/*.trc
 
 benches="bench_table1_config bench_table2_energies bench_table3_workloads \
 bench_table4_latencies bench_fig4_placement bench_fig5_policies \

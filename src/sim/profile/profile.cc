@@ -15,10 +15,6 @@ constexpr unsigned kBuckets = static_cast<unsigned>(Bucket::kCount);
 std::atomic<std::uint64_t> buckets[kBuckets];
 std::once_flag footer_armed;
 
-const char *const kNames[kBuckets] = {
-    "trace-gen", "distill", "core", "l2-org", "probe", "recency", "stats",
-};
-
 double
 secs(std::uint64_t ns)
 {
@@ -43,18 +39,16 @@ printFooter()
         static_cast<unsigned>(Bucket::Probe)].load();
     const std::uint64_t recency = buckets[
         static_cast<unsigned>(Bucket::Recency)].load();
-    const std::uint64_t gen = buckets[
-        static_cast<unsigned>(Bucket::TraceGen)].load();
     const std::uint64_t distill = buckets[
         static_cast<unsigned>(Bucket::Distill)].load();
     const std::uint64_t stats = buckets[
         static_cast<unsigned>(Bucket::Stats)].load();
-    const double attributed = secs(gen + distill + core + stats);
+    const double attributed = secs(distill + core + stats);
     std::fprintf(stderr,
-                 "[profile] trace-gen %.3fs | distill %.3fs | core %.3fs "
+                 "[profile] distill %.3fs | core %.3fs "
                  "(l2-org %.3fs, %.1f%%; probe %.3fs; recency %.3fs) | "
                  "stats %.3fs | attributed %.3fs\n",
-                 secs(gen), secs(distill), secs(core), secs(l2),
+                 secs(distill), secs(core), secs(l2),
                  core ? 100.0 * l2 / core : 0.0, secs(probe),
                  secs(recency), secs(stats), attributed);
 }

@@ -5,8 +5,8 @@
  * Attributes sweep wall time to four buckets so perf claims are
  * measured, not asserted:
  *
- *   trace-gen  pre-generating packed workload streams (trace/)
- *   distill    building/loading distilled L2-event streams (trace/)
+ *   distill    building (one generate-and-distill pass) or loading
+ *              distilled L2-event streams (trace/)
  *   core       the warmup/measure loop (cpu/ + L1s + replay)
  *   l2-org     LowerMemory::access calls made from that loop
  *              (a subset of the core bucket, reported separately)
@@ -35,7 +35,6 @@ namespace nurapid {
 namespace prof {
 
 enum class Bucket : unsigned {
-    TraceGen,
     Distill,
     Core,
     L2Org,

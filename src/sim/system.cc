@@ -85,8 +85,8 @@ System::System(const OrgSpec &org, const WorkloadProfile &profile,
     dp.bp_history_bits = coreModel->branchPredictor().historyBits();
     dp.mshr_block_bytes = coreModel->params().mshr_block_bytes;
     // The distilled stream is the only one requested: a registry or
-    // .dtc hit never generates or loads the packed stream, and a miss
-    // does so inside this span.
+    // .dtc hit generates nothing, and a miss runs its one
+    // generate-and-distill pass inside this span.
     EngineSpan span("distill-decode", "distill " + profile.name);
     distilled = sharedDistilledTrace(profile, total, cuts, dp);
     dcur = distilled->cursor();

@@ -95,8 +95,8 @@ usage(const char *argv0)
         "                          (default: hardware concurrency)\n"
         "  NURAPID_RUN_CACHE       path of the cross-binary run\n"
         "                          memoization cache (JSON)\n"
-        "  NURAPID_TRACE_CACHE_DIR on-disk packed/distilled trace cache\n"
-        "                          directory\n"
+        "  NURAPID_TRACE_CACHE_DIR directory of the on-disk distilled\n"
+        "                          .dtc cache\n"
         "  NURAPID_SIM_SCALE       global simulation-length multiplier\n"
         "  NURAPID_AUDIT           1 enables the invariant-audit layer\n"
         "  NURAPID_AUDIT_INTERVAL  accesses between audit sweeps\n"

@@ -14,7 +14,6 @@
 #include "common/logging.hh"
 #include "cpu/branch_predictor.hh"
 #include "sim/profile/profile.hh"
-#include "trace/packed_trace.hh"
 #include "trace/stream_registry.hh"
 
 namespace nurapid {
@@ -47,11 +46,11 @@ DistilledTrace::DistilledTrace(const WorkloadProfile &profile,
     : cuts_(cuts)
 {
     checkCuts(cuts_, records);
-    auto packed = sharedPackedTrace(profile, records, seed_mix);
-    panic_if(packed->size() < records,
-             "packed stream shorter than distillation request");
 
+    // One generate-and-filter pass: SyntheticTrace is final, so next()
+    // is a direct call, and no record outlives its loop iteration.
     NURAPID_PROFILE_SCOPE(Distill);
+    SyntheticTrace gen(profile, seed_mix);
     SetAssocCache l1i(params.l1i);
     SetAssocCache l1d(params.l1d);
     BranchPredictor bpred(params.bp_entries, params.bp_history_bits);
@@ -63,7 +62,6 @@ DistilledTrace::DistilledTrace(const WorkloadProfile &profile,
     // let the vector grow in the rare workloads beyond that.
     event_buf.reserve(records / 4);
 
-    PackedTrace::Cursor cur = packed->cursor(records);
     TraceRecord r;
     auto next_cut = cuts_.begin();
     std::uint32_t acc_bp_pred = 0;  //!< correct predictions since event
@@ -71,8 +69,8 @@ DistilledTrace::DistilledTrace(const WorkloadProfile &profile,
     bool dep_pending = false;       //!< a dep load must replay its check
 
     for (std::uint64_t k = 0; k < records; ++k) {
-        const bool got = cur.next(r);
-        panic_if(!got, "packed stream ended mid-distillation");
+        const bool got = gen.next(r);
+        panic_if(!got, "synthetic stream ended mid-distillation");
 
         std::uint16_t flags = 0;
         const bool mispredict = r.has_branch &&
@@ -169,6 +167,54 @@ DistilledTrace::isCut(std::uint64_t record) const
     return std::binary_search(cuts_.begin(), cuts_.end(), record);
 }
 
+namespace {
+
+/**
+ * Canonical key of the record stream itself: every profile field the
+ * generator reads, the seed mix, and a generator version. Bump
+ * kTraceFormatVersion whenever SyntheticTrace's output for a fixed
+ * profile changes, so distilled caches of the old stream go stale.
+ * These key bytes are embedded unchanged in every .dtc key.
+ */
+Fingerprint
+traceFingerprint(const WorkloadProfile &p, std::uint64_t seed_mix)
+{
+    constexpr std::uint64_t kTraceFormatVersion = 2;
+
+    Fingerprint fp;
+    fp.field("format", kTraceFormatVersion);
+    fp.field("name", p.name);
+    fp.field("seed", p.seed);
+    fp.field("mem_refs_per_kinst", p.mem_refs_per_kinst);
+    fp.field("store_frac", p.store_frac);
+    fp.field("seq_frac", p.seq_frac);
+    fp.field("dep_frac", p.dep_frac);
+    fp.field("critical_frac", p.critical_frac);
+    fp.field("drift_period", p.drift_period);
+    fp.field("ifetch_refs_per_kinst", p.ifetch_refs_per_kinst);
+    fp.field("code_bytes", p.code_bytes);
+    fp.field("branches_per_kinst", p.branches_per_kinst);
+    fp.field("hard_branch_frac", p.hard_branch_frac);
+    fp.field("hard_branch_bias", p.hard_branch_bias);
+    fp.field("footprint_bytes", p.footprint_bytes);
+    fp.field("layer_count", std::uint64_t{p.layers.size()});
+    for (std::size_t i = 0; i < p.layers.size(); ++i) {
+        char nm[48];
+        std::snprintf(nm, sizeof(nm), "layer%zu.bytes", i);
+        fp.field(nm, p.layers[i].bytes);
+        std::snprintf(nm, sizeof(nm), "layer%zu.weight", i);
+        fp.field(nm, p.layers[i].weight);
+        std::snprintf(nm, sizeof(nm), "layer%zu.segments", i);
+        fp.field(nm, p.layers[i].segments);
+        std::snprintf(nm, sizeof(nm), "layer%zu.colliding", i);
+        fp.field(nm, p.layers[i].colliding_segments);
+    }
+    fp.field("seed_mix", seed_mix);
+    return fp;
+}
+
+} // namespace
+
 Fingerprint
 distillFingerprint(const WorkloadProfile &profile, std::uint64_t seed_mix,
                    std::uint64_t records,
@@ -181,7 +227,7 @@ distillFingerprint(const WorkloadProfile &profile, std::uint64_t seed_mix,
 
     Fingerprint fp;
     fp.field("distill_format", kDistillFormatVersion);
-    fp.field("trace", packedTraceFingerprint(profile, seed_mix).key());
+    fp.field("trace", traceFingerprint(profile, seed_mix).key());
     auto cache = [&fp](const char *prefix, const CacheOrg &org) {
         char nm[48];
         std::snprintf(nm, sizeof(nm), "%s.capacity", prefix);
@@ -213,9 +259,10 @@ distillFingerprint(const WorkloadProfile &profile, std::uint64_t seed_mix,
 namespace {
 
 // ---------------------------------------------------------------------
-// Cross-process disk cache, mirroring the packed-trace .trc scheme:
-// header + full canonical key (collision guard) + 16-byte-aligned gap
-// and event arrays, written via tmp-file + rename.
+// Cross-process disk cache: header + full canonical key (collision
+// guard) + 16-byte-aligned gap and event arrays, written via tmp-file +
+// rename so a concurrent or killed writer never leaves a half-written
+// file under the final name.
 // ---------------------------------------------------------------------
 
 constexpr char kDistillFileMagic[8] = {'N', 'R', 'P', 'D', 'S', 'T', '1',
@@ -388,10 +435,6 @@ sharedDistilledTrace(const WorkloadProfile &profile, std::uint64_t records,
                 profile, records, cuts, params, seed_mix);
             storeDistilledFile(*buf, profile, cuts, params, seed_mix);
         }
-        // The packed stream's only reader is the distiller: free it
-        // now unless a caller pinned it. Only this workload's entry —
-        // other workers' buffers may still await their distillation.
-        releasePackedTrace(profile, seed_mix);
     };
     return registry().get(
         distillFingerprint(profile, seed_mix, records, cuts, params).key(),

@@ -46,13 +46,13 @@
  * workload and every organization the sweep simulates. Buffers are
  * shared process-wide per fingerprint (profile, seed mix, L1 geometry,
  * predictor config, MSHR sector, segment cuts) and persisted to
- * NURAPID_TRACE_CACHE_DIR next to the packed .trc files (mmap-loaded).
+ * NURAPID_TRACE_CACHE_DIR as .dtc files (mmap-loaded).
  *
- * The distilled stream is the System's only stream request, and the
- * packed stream (trace/packed_trace.hh) is only its input: a registry
- * or .dtc hit never requests the packed stream, and a miss requests and
- * distills it. Once the distilled stream exists, that workload's packed
- * registry entry is released unless a caller still holds the buffer.
+ * The distilled stream is the System's only stream request. A registry
+ * or .dtc miss builds it in one generate-and-distill pass: the
+ * constructor pulls each record straight from a local SyntheticTrace
+ * and keeps only the byte and its event, so no full record stream is
+ * ever materialized.
  */
 
 #ifndef NURAPID_TRACE_DISTILLED_TRACE_HH
@@ -133,8 +133,9 @@ class DistilledTrace
         std::uint64_t pos = 0;  //!< next record index to replay
     };
 
-    /** Distills @p records of (@p profile, @p seed_mix): runs the L1s
-     *  and predictor once and keeps only the event stream. @p cuts are
+    /** Distills @p records of (@p profile, @p seed_mix): generates
+     *  them and runs the L1s and predictor over them in one pass,
+     *  keeping only the record bytes and the event stream. @p cuts are
      *  the segment boundaries replay may stop at (ascending, each > 0,
      *  last == @p records); an event is forced at each cut's final
      *  record so folded counters are exact there. */
@@ -186,8 +187,10 @@ class DistilledTrace
 };
 
 /** Canonical fingerprint of one distilled stream: format version, the
- *  full packed-trace key, both L1 organizations, the predictor
- *  configuration, the MSHR sector size, and the segment cuts. */
+ *  full key of the record stream (every generator-read profile field,
+ *  the seed mix and a generator version), both L1 organizations, the
+ *  predictor configuration, the MSHR sector size, and the segment
+ *  cuts. */
 Fingerprint distillFingerprint(const WorkloadProfile &profile,
                                std::uint64_t seed_mix,
                                std::uint64_t records,
@@ -198,9 +201,7 @@ Fingerprint distillFingerprint(const WorkloadProfile &profile,
  * Process-wide registry: returns the distilled stream for the given
  * fingerprint, building (or loading from NURAPID_TRACE_CACHE_DIR) at
  * most once while its entry lives. Thread-safe; generation for
- * different fingerprints proceeds in parallel. Once the stream exists,
- * releasePackedTrace(profile, seed_mix) frees the packed input unless
- * a caller holds it.
+ * different fingerprints proceeds in parallel.
  */
 std::shared_ptr<const DistilledTrace>
 sharedDistilledTrace(const WorkloadProfile &profile, std::uint64_t records,

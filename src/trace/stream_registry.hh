@@ -1,11 +1,10 @@
 /**
  * @file
  * Process-wide registry of shared, read-only trace streams, keyed by a
- * canonical fingerprint key (trace/packed_trace.hh and
- * trace/distilled_trace.hh each keep one).
+ * canonical fingerprint key (trace/distilled_trace.hh keeps one).
  *
  * The registry lock guards only the entry list. Filling an entry
- * (generation, distillation, a disk load) runs under that entry's own
+ * (a generate-and-distill pass, a disk load) runs under that entry's own
  * mutex, so requests for different streams proceed in parallel. Entries
  * are held by shared_ptr and a lookup copies its entry's pointer under
  * the registry lock, so an eviction running concurrently with lookups
@@ -32,7 +31,7 @@ class StreamRegistry
     /**
      * Returns @p key's stream after @p fill(std::shared_ptr<const T>&)
      * has run on it under the entry's lock; the pointer is empty on the
-     * first request, and fill may create or replace it.
+     * first request, and fill creates the stream then.
      */
     template <class Fill>
     std::shared_ptr<const T>
@@ -62,35 +61,12 @@ class StreamRegistry
     std::size_t
     dropUnused()
     {
-        return dropIf([](const Entry &) { return true; });
-    }
-
-    /** Drops @p key's entry unless someone else holds its stream or a
-     *  lookup is in flight on it; true when it was dropped. */
-    bool
-    release(const std::string &key)
-    {
-        return dropIf([&](const Entry &e) { return e.key == key; }) != 0;
-    }
-
-  private:
-    struct Entry
-    {
-        std::string key;
-        std::shared_ptr<const T> buf;
-        std::mutex gen_mutex;  //!< serializes filling this entry only
-    };
-
-    template <class Pred>
-    std::size_t
-    dropIf(Pred pred)
-    {
         std::lock_guard<std::mutex> lock(mtx);
         // use_count() == 1: only this list holds the entry, and only
         // this lock hands out copies, so no lookup can reach it now.
         // The entry lock then orders its last fill before the reads.
-        const auto unused = [&](const std::shared_ptr<Entry> &e) {
-            if (e.use_count() != 1 || !pred(*e))
+        const auto unused = [](const std::shared_ptr<Entry> &e) {
+            if (e.use_count() != 1)
                 return false;
             std::unique_lock<std::mutex> gen_lock(e->gen_mutex,
                                                   std::try_to_lock);
@@ -103,6 +79,14 @@ class StreamRegistry
         entries.erase(kept, entries.end());
         return freed;
     }
+
+  private:
+    struct Entry
+    {
+        std::string key;
+        std::shared_ptr<const T> buf;
+        std::mutex gen_mutex;  //!< serializes filling this entry only
+    };
 
     std::mutex mtx;  //!< guards the entry list, never filling
     std::vector<std::shared_ptr<Entry>> entries;

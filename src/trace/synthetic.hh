@@ -26,7 +26,7 @@
 
 namespace nurapid {
 
-class SyntheticTrace : public TraceSource
+class SyntheticTrace final : public TraceSource
 {
   public:
     explicit SyntheticTrace(const WorkloadProfile &profile,

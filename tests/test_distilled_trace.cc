@@ -1,7 +1,8 @@
 /**
  * @file
  * Distilled-trace tests: the disk round-trip, rejection of a truncated
- * file, fingerprint invalidation and event-stream shape. Bit-identity
+ * file, fingerprint invalidation and its pinned key bytes, and
+ * event-stream shape. Bit-identity
  * of the replay against the live per-record loop, for every sweep
  * organization and workload, lives in tests/test_reference_identity.cc.
  */
@@ -127,6 +128,41 @@ TEST(DistilledTrace, FingerprintChangesWithEveryKeyedParameter)
     const WorkloadProfile other = findProfile("mcf");
     EXPECT_NE(distillFingerprint(other, 0, 4'000, cuts, base).key(), key)
         << "workload must invalidate the fingerprint";
+}
+
+TEST(DistilledTrace, FingerprintKeyMatchesExistingDtcFiles)
+{
+    // .dtc files are found by this key's digest and verified against
+    // its bytes. These bytes equal the key written by builds that still
+    // had a separate packed-trace stage, so their .dtc caches stay
+    // valid; change them only together with a format-version bump.
+    DistillParams params;
+    params.l1i = l1iOrg();
+    params.l1d = l1dOrg();
+    const Fingerprint fp = distillFingerprint(
+        findProfile("applu"), 0, 8'000, {2'000, 8'000}, params);
+    EXPECT_EQ(fp.key(),
+        "distill_format=2;trace=format=2;name=applu;seed=11;"
+        "mem_refs_per_kinst=350;store_frac=0.26000000000000001;"
+        "seq_frac=0.55000000000000004;dep_frac=0.12;"
+        "critical_frac=0.84999999999999998;drift_period=2500;"
+        "ifetch_refs_per_kinst=0;code_bytes=65536;"
+        "branches_per_kinst=120;"
+        "hard_branch_frac=0.080000000000000002;"
+        "hard_branch_bias=0.71999999999999997;"
+        "footprint_bytes=67108864;layer_count=3;layer0.bytes=40960;"
+        "layer0.weight=0.9184305056645482;layer0.segments=2;"
+        "layer0.colliding=0;layer1.bytes=1638400;"
+        "layer1.weight=0.064847747996684177;layer1.segments=16;"
+        "layer1.colliding=3;layer2.bytes=3145728;"
+        "layer2.weight=0.01468250898038132;layer2.segments=8;"
+        "layer2.colliding=0;seed_mix=0;;l1i.capacity=65536;"
+        "l1i.assoc=2;l1i.block=32;l1i.repl=0;l1i.repl_seed=7;"
+        "l1d.capacity=65536;l1d.assoc=2;l1d.block=32;l1d.repl=0;"
+        "l1d.repl_seed=9;bp_entries=8192;bp_history_bits=13;"
+        "mshr_block_bytes=32;records=8000;cut_count=2;cut0=2000;"
+        "cut1=8000;");
+    EXPECT_EQ(fp.digest(), "0efe35e1297d0c39");
 }
 
 TEST(DistilledTrace, EventStreamFoldsTheInertMajority)

@@ -1,25 +1,30 @@
 /**
  * @file
  * Stream-registry tests: eviction must be safe while lookups run on
- * other threads, a packed stream must live only until it is distilled
- * (unless a caller pins it), and a valid .dtc must make the packed
- * stream and its .trc unnecessary.
+ * other threads, and the trace disk cache must hold distilled .dtc
+ * streams only — a cold run writes one .dtc and nothing else, and a
+ * warm run replays it.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <future>
+#include <iterator>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include <sys/stat.h>
+
 #include "sim/runner/run_cache.hh"
 #include "sim/system.hh"
 #include "trace/distilled_trace.hh"
-#include "trace/packed_trace.hh"
 #include "trace/profiles.hh"
 #include "trace/stream_registry.hh"
 
@@ -43,66 +48,65 @@ TEST(StreamRegistry, InFlightOrHeldEntriesAreNeverDropped)
     entered.get_future().wait();
     // The filler holds the entry but has not produced a stream yet.
     EXPECT_EQ(reg.dropUnused(), 0u);
-    EXPECT_FALSE(reg.release("k"));
     go.set_value();
     filler.join();
 
     auto held = reg.get("k", [](std::shared_ptr<const int> &) {});
     ASSERT_NE(held, nullptr);
     EXPECT_EQ(*held, 7);
-    EXPECT_FALSE(reg.release("k")) << "a held stream must stay";
-    EXPECT_FALSE(reg.release("other"));
+    EXPECT_EQ(reg.dropUnused(), 0u) << "a held stream must stay";
     held.reset();
-    EXPECT_TRUE(reg.release("k"));
+    EXPECT_EQ(reg.dropUnused(), 1u);
     EXPECT_EQ(reg.dropUnused(), 0u);
 }
 
 TEST(StreamRegistry, ConcurrentLookupsAndEvictionsAreSafe)
 {
     // A distinct seed mix keeps this test's registry entries disjoint
-    // from every other test in the binary.
+    // from every other test in the binary. Two cut lists give the
+    // registry two live keys for the same workload.
     constexpr std::uint64_t kMix = 55;
     constexpr std::uint64_t kRecords = 3'000;
     constexpr int kWorkers = 3;
     constexpr int kRounds = 40;
     const WorkloadProfile prof = findProfile("mgrid");
-    const std::vector<std::uint64_t> cuts{1'000, kRecords};
+    const std::vector<std::vector<std::uint64_t>> cut_lists{
+        {1'000, kRecords}, {2'000, kRecords}};
     DistillParams params;
     params.l1i = l1iOrg();
     params.l1d = l1dOrg();
-    const PackedTrace ref_packed(prof, kRecords, kMix);
-    const DistilledTrace ref_distilled(prof, kRecords, cuts, params, kMix);
-    const PackedTrace::PackedRecord last_ref =
-        ref_packed.rawRecords()[kRecords - 1];
+    std::vector<std::unique_ptr<const DistilledTrace>> refs;
+    for (const auto &cuts : cut_lists) {
+        refs.push_back(std::make_unique<const DistilledTrace>(
+            prof, kRecords, cuts, params, kMix));
+    }
+    const auto same = [](const DistilledTrace &a, const DistilledTrace &b) {
+        return a.size() == b.size() && a.eventCount() == b.eventCount() &&
+            a.cutList() == b.cutList() &&
+            std::memcmp(a.gapData(), b.gapData(), a.size()) == 0 &&
+            std::memcmp(a.eventData(), b.eventData(),
+                        a.eventCount() * sizeof(DistilledTrace::Event)) ==
+            0;
+    };
 
     std::atomic<int> running{kWorkers};
     std::atomic<int> bad{0};
-    auto worker = [&] {
+    auto worker = [&](int id) {
         for (int i = 0; i < kRounds; ++i) {
-            const auto pk = sharedPackedTrace(prof, kRecords, kMix);
-            const auto dt =
-                sharedDistilledTrace(prof, kRecords, cuts, params, kMix);
-            const PackedTrace::PackedRecord &last =
-                pk->rawRecords()[kRecords - 1];
-            if (pk->size() < kRecords || last.addr != last_ref.addr ||
-                last.branch_pc != last_ref.branch_pc ||
-                dt->size() != kRecords ||
-                dt->eventCount() != ref_distilled.eventCount() ||
-                dt->eventData()[dt->eventCount() - 1].rec !=
-                    kRecords - 1) {
+            const std::size_t c = (i + id) % cut_lists.size();
+            const auto dt = sharedDistilledTrace(prof, kRecords,
+                                                 cut_lists[c], params, kMix);
+            if (!same(*dt, *refs[c]))
                 bad.fetch_add(1);
-            }
         }
         running.fetch_sub(1);
     };
     std::vector<std::thread> pool;
     for (int t = 0; t < kWorkers; ++t)
-        pool.emplace_back(worker);
+        pool.emplace_back(worker, t);
     std::thread evictor([&] {
         while (running.load() > 0) {
-            dropUnusedPackedTraces();
             dropUnusedDistilledTraces();
-            releasePackedTrace(prof, kMix);
             std::this_thread::yield();
         }
     });
@@ -110,10 +114,9 @@ TEST(StreamRegistry, ConcurrentLookupsAndEvictionsAreSafe)
         th.join();
     evictor.join();
     EXPECT_EQ(bad.load(), 0) << "a lookup returned a wrong stream";
-    // Nothing holds a stream any more, so the registries empty out.
+    // Nothing holds a stream any more, so the registry empties out.
     dropUnusedDistilledTraces();
-    dropUnusedPackedTraces();
-    EXPECT_EQ(dropUnusedDistilledTraces() + dropUnusedPackedTraces(), 0u);
+    EXPECT_EQ(dropUnusedDistilledTraces(), 0u);
 }
 
 /** A profile whose stream no other test builds (distinct seed). */
@@ -136,7 +139,14 @@ filesWithExtension(const std::string &dir, const char *ext)
     return out;
 }
 
-TEST(TraceCacheDir, ValidDtcNeedsNoPackedStreamOrTrc)
+ino_t
+inodeOf(const fs::path &p)
+{
+    struct stat st{};
+    return ::stat(p.c_str(), &st) == 0 ? st.st_ino : 0;
+}
+
+TEST(TraceCacheDir, ColdRunWritesOnlyDtc)
 {
     const WorkloadProfile prof = isolatedProfile("applu", 4'242);
     const SimLength len{2'000, 6'000};
@@ -144,57 +154,48 @@ TEST(TraceCacheDir, ValidDtcNeedsNoPackedStreamOrTrc)
     ASSERT_NE(::mkdtemp(dir.data()), nullptr);
     ::setenv("NURAPID_TRACE_CACHE_DIR", dir.c_str(), 1);
     dropUnusedDistilledTraces();
-    dropUnusedPackedTraces();
 
-    // A cold run distills, persisting the .trc and the .dtc, and then
-    // frees the packed stream it distilled.
+    // A stale packed-stream file from an older build must be ignored:
+    // nothing reads, rewrites or deletes it.
+    const fs::path stale = fs::path(dir) / (prof.name + "-stale.trc");
+    const std::string stale_bytes = "NRPTRC1 stale packed stream";
+    std::ofstream(stale, std::ios::binary) << stale_bytes;
+
+    // A cold run generates and distills in one pass and persists only
+    // the distilled stream.
     RunMetrics cold;
     {
         System sys(OrgSpec::baseline(), prof, len);
-        EXPECT_EQ(dropUnusedPackedTraces(), 0u)
-            << "the packed stream must not outlive its distillation";
         cold = sys.runAll();
     }
-    ASSERT_EQ(filesWithExtension(dir, ".dtc").size(), 1u);
-    const auto trc = filesWithExtension(dir, ".trc");
-    ASSERT_EQ(trc.size(), 1u);
-    fs::remove(trc.front());
+    const auto dtc = filesWithExtension(dir, ".dtc");
+    ASSERT_EQ(dtc.size(), 1u);
+    EXPECT_EQ(std::distance(fs::directory_iterator(dir),
+                            fs::directory_iterator()),
+              2)
+        << "a cold run must write its .dtc and nothing else";
     EXPECT_EQ(dropUnusedDistilledTraces(), 1u);
 
-    // With only the .dtc left, a run loads it and never regenerates
-    // (or rewrites) the packed stream.
+    // A warm run maps the .dtc instead of rewriting it (a rewrite
+    // lands through a rename, under a new inode) and replays it to
+    // the same metrics.
+    const ino_t dtc_inode = inodeOf(dtc.front());
     RunMetrics warm;
     {
         System sys(OrgSpec::baseline(), prof, len);
         warm = sys.runAll();
     }
-    EXPECT_TRUE(filesWithExtension(dir, ".trc").empty())
-        << "a valid .dtc must make the .trc unnecessary";
-    EXPECT_EQ(dropUnusedPackedTraces(), 0u)
-        << "no packed registry entry may remain";
+    EXPECT_EQ(inodeOf(dtc.front()), dtc_inode)
+        << "a valid .dtc must be loaded, not regenerated";
     EXPECT_TRUE(identicalMetrics(cold, warm));
+    std::ifstream in(stale, std::ios::binary);
+    const std::string after((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+    EXPECT_EQ(after, stale_bytes) << "the stale .trc must be untouched";
 
     dropUnusedDistilledTraces();
     ::unsetenv("NURAPID_TRACE_CACHE_DIR");
     fs::remove_all(dir);
-}
-
-TEST(TraceCacheDir, PinnedPackedBufferSurvivesDistillation)
-{
-    const WorkloadProfile prof = isolatedProfile("swim", 4'343);
-    const SimLength len{2'000, 6'000};
-    const std::uint64_t total = len.warmup_records + len.measure_records;
-
-    auto pinned = sharedPackedTrace(prof, total);
-    {
-        System sys(OrgSpec::baseline(), prof, len);
-        EXPECT_GT(sys.runAll().instructions, 0u);
-    }
-    EXPECT_EQ(sharedPackedTrace(prof, total).get(), pinned.get())
-        << "distillation must not evict a buffer a caller holds";
-    pinned.reset();
-    EXPECT_TRUE(releasePackedTrace(prof, 0));
-    dropUnusedDistilledTraces();
 }
 
 } // namespace
